@@ -4,8 +4,8 @@
 
     - logic substrate: {!Term}, {!Atom}, {!Subst}, {!Instance}, {!Hom},
       {!Plan}, {!Tgd}, {!Schema}, {!Pattern}, {!Parser};
-    - chase engine: {!Variant}, {!Engine}, {!Parallel}, {!Limits},
-      {!Watchdog}, {!Faults}, {!Critical}, {!Derivation};
+    - chase engine: {!Variant}, {!Engine}, {!Trigger}, {!Parallel},
+      {!Limits}, {!Watchdog}, {!Faults}, {!Critical}, {!Derivation};
     - observability: {!Obs}, {!Metrics}, {!Sink}, {!Jsonv}, {!Profile},
       {!Tracectx}, {!Flight}, {!Telemetry};
     - durability: {!Codec}, {!Journal}, {!Snapshot}, {!Recovery},
@@ -52,6 +52,7 @@ module Core_model = Chase_logic.Core_model
 (* Chase engine *)
 module Variant = Chase_engine.Variant
 module Engine = Chase_engine.Engine
+module Trigger = Chase_engine.Trigger
 module Parallel = Chase_engine.Parallel
 module Limits = Chase_engine.Limits
 module Watchdog = Chase_engine.Watchdog

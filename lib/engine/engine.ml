@@ -59,25 +59,12 @@ let exhausted r = match r.status with Exhausted _ -> true | Terminated -> false
 let exhaustion r =
   match r.status with Exhausted e -> Some e | Terminated -> None
 
-let depth_of result a =
-  match Atom.Tbl.find_opt result.provenance a with
+let depth_in provenance a =
+  match Atom.Tbl.find_opt provenance a with
   | Some d -> Derivation.depth d
   | None -> 0
 
-(* A queued trigger: rule index plus the full body homomorphism. *)
-type trigger = {
-  t_rule : int;
-  t_sub : Subst.t;
-}
-
-let key_of_trigger rules variant tr =
-  let r = rules.(tr.t_rule) in
-  let sub =
-    match (variant : Variant.t) with
-    | Oblivious | Restricted -> tr.t_sub
-    | Semi_oblivious -> Subst.restrict tr.t_sub (Tgd.frontier r)
-  in
-  (tr.t_rule, Subst.to_list sub)
+let depth_of result a = depth_in result.provenance a
 
 (** A restored mid-run state, produced by [Chase_persist.Recovery] from a
     write-ahead journal (plus an optional snapshot).  [run ~resume] picks
@@ -133,6 +120,9 @@ type resume = {
 let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
     ?on_trigger ?watchdog rules db =
   let rules = Array.of_list rules in
+  (* Triggers are slot arrays over rules compiled once per run (DESIGN.md
+     §3.1); a substitution is built only where one is consumed. *)
+  let compiled = Array.mapi Trigger.compile rules in
   (* Static trigger-relevance (DESIGN.md §3.11): the delta sweep only
      visits rules whose bodies could match the added fact.  Skipped
      (rule, fact) events are provably empty, so pruned runs are
@@ -167,7 +157,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
   let instance = Instance.create () in
   List.iter (fun a -> ignore (Instance.add instance a)) db;
   let provenance = Atom.Tbl.create 1024 in
-  let seen = Hashtbl.create 1024 in
+  let seen = Trigger.Tbl.create 1024 in
   let queue = Queue.create () in
   let monitor = Limits.Monitor.start config.limits in
   let firings = Array.make (Array.length rules) 0 in
@@ -175,7 +165,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
   let null_counter = ref 0 in
   let fresh_null () =
     incr null_counter;
-    Term.Null !null_counter
+    !null_counter
   in
   let triggers_applied = ref 0 in
   let triggers_skipped = ref 0 in
@@ -200,10 +190,10 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
       (fun (i, sub) ->
         if i >= 0 && i < Array.length rules then begin
           firings.(i) <- firings.(i) + 1;
-          let key =
-            key_of_trigger rules config.variant { t_rule = i; t_sub = sub }
-          in
-          Hashtbl.replace seen key ()
+          let c = compiled.(i) in
+          Trigger.Tbl.replace seen
+            (Trigger.key config.variant c (Trigger.of_subst c sub))
+            ()
         end)
       r.applied);
   let rule_display i =
@@ -227,9 +217,9 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
   let prof_probes = Array.make prof_n 0 in
   let prof_nulls = Array.make prof_n 0 in
   let enqueue tr =
-    let key = key_of_trigger rules config.variant tr in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
+    let key = Trigger.key config.variant compiled.(tr.Trigger.rule) tr in
+    if not (Trigger.Tbl.mem seen key) then begin
+      Trigger.Tbl.add seen key ();
       Queue.add tr queue
     end
   in
@@ -239,11 +229,10 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
      included — depends only on the substitution *set* the matcher
      produces, never on its enumeration order.  Planned and naive runs
      are therefore step-for-step identical, which the differential test
-     suite asserts. *)
+     suite asserts.  Slot-array order is [Subst.compare] order. *)
   let enqueue_found i subs =
-    List.iter
-      (fun sub -> enqueue { t_rule = i; t_sub = sub })
-      (List.sort Subst.compare subs)
+    List.iter enqueue
+      (List.sort Trigger.compare (List.map (Trigger.of_subst compiled.(i)) subs))
   in
   let discover_all_for_rule i =
     let t0 = if tracked then Obs.now obs else 0. in
@@ -353,52 +342,35 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
       (Relevance.seed_order relevance);
     Array.iteri enqueue_found found);
   Obs.span_end obs "seed";
-  let atom_depth a =
-    match Atom.Tbl.find_opt provenance a with
-    | Some d -> Derivation.depth d
-    | None -> 0
-  in
-  let head_satisfied r sub =
-    Hom.exists ~init:(Subst.restrict sub (Tgd.frontier r)) instance (Tgd.head r)
-  in
   let apply tr =
     let t_start = if tracked then Obs.now obs else 0. in
     let c_start = if tracked then Hom.Stats.candidates_now () else 0 in
-    let r = rules.(tr.t_rule) in
+    let i = tr.Trigger.rule in
+    let c = compiled.(i) in
     incr step_counter;
     incr triggers_applied;
-    firings.(tr.t_rule) <- firings.(tr.t_rule) + 1;
+    firings.(i) <- firings.(i) + 1;
     if tracked then
       Obs.span_begin obs
         ~args:[ ("step", Chase_obs.Jsonv.Int !step_counter) ]
-        (rule_display tr.t_rule);
-    let created = ref [] in
-    let sub' =
-      Util.Sset.fold
-        (fun z acc ->
-          let n = fresh_null () in
-          (match n with Term.Null id -> created := id :: !created | _ -> ());
-          Subst.bind_exn acc z n)
-        (Tgd.existentials r) tr.t_sub
-    in
-    let created = List.rev !created in
-    let parents = Subst.apply_atoms tr.t_sub (Tgd.body r) in
-    let guard_parent =
-      Option.map (Subst.apply_atom tr.t_sub) (Chase_classes.Classify.guard_of r)
-    in
-    let depth = 1 + List.fold_left (fun d a -> max d (atom_depth a)) 0 parents in
+        (rule_display i);
+    let vals, created = Trigger.extend c tr ~fresh:fresh_null in
+    let parents = List.map (Trigger.instantiate vals) c.body in
+    let guard_parent = Option.map (List.nth parents) c.guard in
+    let depth = 1 + List.fold_left (fun d a -> max d (depth_in provenance a)) 0 parents in
     if depth > !max_depth then max_depth := depth;
+    let hom = lazy (Trigger.to_subst c tr) in
     let new_atoms = ref [] in
     List.iter
       (fun head_atom ->
-        let fact = Subst.apply_atom sub' head_atom in
+        let fact = Trigger.instantiate vals head_atom in
         if Instance.add instance fact then begin
           incr atoms_created;
           new_atoms := fact :: !new_atoms;
           Atom.Tbl.replace provenance fact
             {
-              Derivation.rule = r;
-              hom = tr.t_sub;
+              Derivation.rule = c.tgd;
+              hom = Lazy.force hom;
               parents;
               guard_parent;
               depth;
@@ -406,7 +378,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
               created_nulls = created;
             }
         end)
-      (Tgd.head r);
+      c.head;
     let added = List.rev !new_atoms in
     (* Semi-naive trigger discovery: only homomorphisms using a new fact
        can be new.  Its cost is attributed to the rule whose output
@@ -422,7 +394,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
         added);
     Obs.span_end obs "match";
     if tracked then
-      prof_match.(tr.t_rule) <- prof_match.(tr.t_rule) +. (Obs.now obs -. m0);
+      prof_match.(i) <- prof_match.(i) +. (Obs.now obs -. m0);
     Watchdog.Window.observe null_window ~step:!triggers_applied !null_counter;
     (match watchdog with
     | Some w ->
@@ -433,15 +405,15 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
         ~null_rate:(fun () -> Watchdog.Window.rate null_window)
     | None -> ());
     if tracked then begin
-      prof_nulls.(tr.t_rule) <- prof_nulls.(tr.t_rule) + List.length created;
-      prof_probes.(tr.t_rule) <-
-        prof_probes.(tr.t_rule) + (Hom.Stats.candidates_now () - c_start);
-      prof_time.(tr.t_rule) <-
-        prof_time.(tr.t_rule) +. (Obs.now obs -. t_start);
+      prof_nulls.(i) <- prof_nulls.(i) + List.length created;
+      prof_probes.(i) <-
+        prof_probes.(i) + (Hom.Stats.candidates_now () - c_start);
+      prof_time.(i) <-
+        prof_time.(i) +. (Obs.now obs -. t_start);
       (* the trigger span closes before the persistence hook runs, so
          journal latency shows up in its own metrics, not under the
          rule *)
-      Obs.span_end obs (rule_display tr.t_rule);
+      Obs.span_end obs (rule_display i);
       if !triggers_applied land 511 = 0 then
         Obs.series obs "chase"
           [
@@ -453,8 +425,8 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
     end;
     match on_trigger with
     | Some f ->
-      f ~step:!step_counter ~rule_index:tr.t_rule ~depth ~created_nulls:created
-        r tr.t_sub added
+      f ~step:!step_counter ~rule_index:i ~depth ~created_nulls:created c.tgd
+        (Lazy.force hom) added
     | None -> ()
   in
   let firing_table () =
@@ -481,7 +453,10 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
       | None ->
         let tr = Queue.pop queue in
         (match config.variant with
-        | Variant.Restricted when head_satisfied rules.(tr.t_rule) tr.t_sub ->
+        | Variant.Restricted
+          when let c = compiled.(tr.Trigger.rule) in
+               Hom.exists ~init:(Trigger.frontier_subst c tr) instance
+                 (Tgd.head c.tgd) ->
           incr triggers_skipped
         | Variant.Restricted | Variant.Oblivious | Variant.Semi_oblivious ->
           apply tr);

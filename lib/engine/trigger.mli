@@ -1,0 +1,49 @@
+(** Slot-compiled rules and triggers, the engine's hot-path representation
+    (DESIGN.md §3.1).  Body variables occupy slots [0 .. n_body-1] in name
+    order, existentials the slots after them; a trigger is a rule index
+    plus its body-slot values, hashed once.  Every homomorphism of one body
+    binds exactly the body variables, so ordering triggers by {!compare} is
+    ordering their homomorphisms by [Subst.compare], and semi-oblivious
+    {!key}s are equal exactly when the frontier-restricted homomorphisms
+    are. *)
+
+open Chase_logic
+
+type template
+
+type rule = private {
+  index : int;  (** position in the run's rule array *)
+  tgd : Tgd.t;
+  vars : string array;  (** body variables, then existentials *)
+  n_body : int;
+  frontier : int array;  (** slots of the frontier variables, ascending *)
+  body : template list;
+  head : template list;
+  guard : int option;  (** position of [Classify.guard_of] in the body *)
+}
+
+val compile : int -> Tgd.t -> rule
+
+type t = private { rule : int; vals : Term.t array; hash : int }
+
+val of_subst : rule -> Subst.t -> t
+(** @raise Invalid_argument unless the domain is exactly the body variables. *)
+
+val key : Variant.t -> rule -> t -> t
+(** The dedup key: [t] itself, or its frontier projection (semi-oblivious). *)
+
+val compare : t -> t -> int
+(** Lexicographic [Term.compare] over the slot values (one rule only). *)
+
+val equal : t -> t -> bool
+
+module Tbl : Hashtbl.S with type key = t
+
+val to_subst : rule -> t -> Subst.t
+val frontier_subst : rule -> t -> Subst.t
+
+val extend : rule -> t -> fresh:(unit -> int) -> Term.t array * int list
+(** All slot values, one [fresh ()] null per existential in slot order, and
+    the stamps invented. *)
+
+val instantiate : Term.t array -> template -> Atom.t

@@ -1,28 +1,30 @@
 (** Instances: mutable, indexed sets of facts (variable-free atoms).
 
     The chase engine spends essentially all of its time adding atoms and
-    enumerating candidate atoms for body matching, so the representation
-    keeps, besides the membership table, a per-predicate bucket and a
-    per-(predicate, position, term) index used to narrow matching when a
-    body atom already has a bound argument.
+    enumerating candidate atoms for body matching, so besides the
+    membership table each predicate keeps a bucket of its facts and one
+    [Term.hash]-keyed table per argument position, used to narrow matching
+    when a body atom already has a bound argument.  Buckets list their
+    facts newest first and carry their cardinality, and a position table's
+    size is its number of distinct terms, so the join planner's statistics
+    ({!Plan}) are O(1) and never walk a bucket. *)
 
-    Every bucket carries its cardinality, and the number of distinct
-    terms per (predicate, position) is maintained incrementally, so the
-    cardinality accessors used by the join planner ({!Plan}) are O(1) and
-    never walk a bucket. *)
+module Term_tbl = Hashtbl.Make (Term)
 
 type bucket = {
   mutable elts : Atom.t list;
   mutable n : int;  (** [List.length elts], maintained incrementally *)
 }
 
+type pred_index = {
+  facts : bucket;
+  mutable at_pos : bucket Term_tbl.t array;  (** grows with the arity seen *)
+}
+
 type t = {
   all : unit Atom.Tbl.t;  (** membership *)
-  by_pred : (string, bucket) Hashtbl.t;
-  by_pred_pos_term : (string * int * Term.t, bucket) Hashtbl.t;
-  by_term : (Term.t, bucket) Hashtbl.t;
-  distinct_at_pos : (string * int, int ref) Hashtbl.t;
-      (** distinct terms seen at each (predicate, position) *)
+  by_pred : (string, pred_index) Hashtbl.t;
+  by_term : bucket Term_tbl.t;
   mutable size : int;
 }
 
@@ -30,26 +32,21 @@ let create ?(initial_capacity = 256) () =
   {
     all = Atom.Tbl.create initial_capacity;
     by_pred = Hashtbl.create 32;
-    by_pred_pos_term = Hashtbl.create initial_capacity;
-    by_term = Hashtbl.create initial_capacity;
-    distinct_at_pos = Hashtbl.create 64;
+    by_term = Term_tbl.create initial_capacity;
     size = 0;
   }
 
 let mem ins a = Atom.Tbl.mem ins.all a
 let cardinal ins = ins.size
 
-let bucket tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some b -> b
-  | None ->
-    let b = { elts = []; n = 0 } in
-    Hashtbl.add tbl key b;
-    b
-
 let push b a =
   b.elts <- a :: b.elts;
   b.n <- b.n + 1
+
+let push_at tbl t a =
+  match Term_tbl.find_opt tbl t with
+  | Some b -> push b a
+  | None -> Term_tbl.add tbl t { elts = [ a ]; n = 1 }
 
 (** [add ins a] inserts [a]; returns [true] iff the atom is new.  Raises
     [Invalid_argument] if [a] contains a variable. *)
@@ -59,27 +56,27 @@ let add ins a =
   else begin
     Atom.Tbl.add ins.all a ();
     ins.size <- ins.size + 1;
-    push (bucket ins.by_pred (Atom.pred a)) a;
+    let args = Atom.args a and p = Atom.pred a in
+    let pi =
+      match Hashtbl.find_opt ins.by_pred p with
+      | Some pi -> pi
+      | None ->
+        let pi = { facts = { elts = []; n = 0 }; at_pos = [||] } in
+        Hashtbl.add ins.by_pred p pi;
+        pi
+    in
+    let grow = Array.length args - Array.length pi.at_pos in
+    if grow > 0 then
+      pi.at_pos <-
+        Array.append pi.at_pos (Array.init grow (fun _ -> Term_tbl.create 16));
+    push pi.facts a;
     Array.iteri
       (fun i t ->
-        let key = (Atom.pred a, i, t) in
-        (match Hashtbl.find_opt ins.by_pred_pos_term key with
-        | Some b -> push b a
-        | None ->
-          let b = { elts = [ a ]; n = 1 } in
-          Hashtbl.add ins.by_pred_pos_term key b;
-          (* first time this term shows up at this position *)
-          let d =
-            match Hashtbl.find_opt ins.distinct_at_pos (Atom.pred a, i) with
-            | Some r -> r
-            | None ->
-              let r = ref 0 in
-              Hashtbl.add ins.distinct_at_pos (Atom.pred a, i) r;
-              r
-          in
-          incr d))
-      (Atom.args a);
-    Term.Set.iter (fun t -> push (bucket ins.by_term t) a) (Atom.term_set a);
+        push_at pi.at_pos.(i) t a;
+        (* once per distinct term: at its first position only *)
+        let rec first j = j = i || ((not (Term.equal args.(j) t)) && first (j + 1)) in
+        if first 0 then push_at ins.by_term t a)
+      args;
     true
   end
 
@@ -90,34 +87,32 @@ let of_list atoms =
   add_all ins atoms;
   ins
 
-let atoms_of_pred ins p =
-  match Hashtbl.find_opt ins.by_pred p with Some b -> b.elts | None -> []
+(* Sentinels for absent keys; never mutated ([add] makes its own entries). *)
+let no_facts = { elts = []; n = 0 }
+let no_pred = { facts = no_facts; at_pos = [||] }
+let no_terms = Term_tbl.create 1
+let pred ins p = Option.value (Hashtbl.find_opt ins.by_pred p) ~default:no_pred
+
+let at_pos ins p i =
+  let pi = pred ins p in
+  if i >= 0 && i < Array.length pi.at_pos then pi.at_pos.(i) else no_terms
+
+let lookup tbl t = Option.value (Term_tbl.find_opt tbl t) ~default:no_facts
+
+let atoms_of_pred ins p = (pred ins p).facts.elts
 
 (** [atoms_matching ins p i t] are the atoms of predicate [p] whose [i]-th
     argument is exactly the term [t]. *)
-let atoms_matching ins p i t =
-  match Hashtbl.find_opt ins.by_pred_pos_term (p, i, t) with
-  | Some b -> b.elts
-  | None -> []
+let atoms_matching ins p i t = (lookup (at_pos ins p i) t).elts
 
 (** [atoms_containing ins t] are the atoms in which term [t] occurs. *)
-let atoms_containing ins t =
-  match Hashtbl.find_opt ins.by_term t with Some b -> b.elts | None -> []
+let atoms_containing ins t = (lookup ins.by_term t).elts
 
 (* ---- O(1) cardinality accessors (the planner's statistics) ---- *)
 
-let count_of_pred ins p =
-  match Hashtbl.find_opt ins.by_pred p with Some b -> b.n | None -> 0
-
-let count_matching ins p i t =
-  match Hashtbl.find_opt ins.by_pred_pos_term (p, i, t) with
-  | Some b -> b.n
-  | None -> 0
-
-let distinct_at ins p i =
-  match Hashtbl.find_opt ins.distinct_at_pos (p, i) with
-  | Some r -> !r
-  | None -> 0
+let count_of_pred ins p = (pred ins p).facts.n
+let count_matching ins p i t = (lookup (at_pos ins p i) t).n
+let distinct_at ins p i = Term_tbl.length (at_pos ins p i)
 
 let iter f ins = Atom.Tbl.iter (fun a () -> f a) ins.all
 let fold f ins init = Atom.Tbl.fold (fun a () acc -> f a acc) ins.all init
@@ -129,8 +124,8 @@ let copy ins = of_list (to_list ins)
 (** All predicates with at least one fact, with their arities. *)
 let predicates ins =
   Hashtbl.fold
-    (fun p b acc ->
-      match b.elts with [] -> acc | a :: _ -> (p, Atom.arity a) :: acc)
+    (fun p pi acc ->
+      match pi.facts.elts with [] -> acc | a :: _ -> (p, Atom.arity a) :: acc)
     ins.by_pred []
 
 (** The set of all terms occurring in the instance. *)

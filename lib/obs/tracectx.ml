@@ -36,18 +36,18 @@ let splitmix64 s =
   logxor z (shift_right_logical z 31)
 
 (* One process-wide stream: the seed mixes pid and boot time, and an
-   atomic counter advances it — wait-free from any domain or thread. *)
+   atomic counter advances it — wait-free from any domain or thread.  No
+   lazy seed: threads forcing one lazy at once raise [Lazy.Undefined]. *)
 let seed =
-  lazy
-    (Int64.logxor
-       (Int64.of_float (Unix.gettimeofday () *. 1e6))
-       (Int64.shift_left (Int64.of_int (Unix.getpid ())) 40))
+  Int64.logxor
+    (Int64.of_float (Unix.gettimeofday () *. 1e6))
+    (Int64.shift_left (Int64.of_int (Unix.getpid ())) 40)
 
 let ctr = Atomic.make 1
 
 let fresh_id () =
   let n = Atomic.fetch_and_add ctr 1 in
-  let v = splitmix64 (Int64.add (Lazy.force seed) (Int64.of_int n)) in
+  let v = splitmix64 (Int64.add seed (Int64.of_int n)) in
   Printf.sprintf "%016Lx" v
 
 let genesis () =

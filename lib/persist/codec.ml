@@ -18,23 +18,22 @@ let corrupt fmt = Fmt.kstr (fun s -> raise (Corrupt s)) fmt
 (* ------------------------------------------------------------------ *)
 
 module Crc32 = struct
+  (* eager: threads forcing one lazy at once raise [Lazy.Undefined] *)
   let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-           done;
-           !c))
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
 
   (** CRC-32 of a substring; the conventional init/final xor is applied
       internally, so the digest of [""] is 0. *)
   let digest ?(pos = 0) ?len s =
     let len = match len with Some l -> l | None -> String.length s - pos in
-    let t = Lazy.force table in
     let crc = ref 0xffffffff in
     for i = pos to pos + len - 1 do
-      crc := t.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
+      crc := table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
     done;
     !crc lxor 0xffffffff
 end

@@ -206,9 +206,9 @@ let handle_stub_conn t fd =
             respond ~id (ok_result (telemetry_body t req));
             loop ()
           | Proto.Promote ->
-            (* answer first: the promoting client's next step is to
-               retry its request against the (re)bound socket, and its
-               connect-retry loop rides out the boot recovery *)
+            (* close the stub before answering, so the client's instant
+               re-send is not refused; its retries ride out the boot *)
+            locked t (fun () -> t.stub_stopping <- true);
             respond ~id (ok_result "promoted\n");
             ignore (Thread.create (fun () -> promote t) ())
           | Proto.Shutdown ->

@@ -128,6 +128,20 @@ let bump r = Mutex.protect m (fun () -> incr r)
 (* ------------------------------------------------------------------ *)
 (* Daemon lifecycle                                                    *)
 
+(* The running daemon, if any: a failing soak exits through [fail], and
+   must not leave it behind. *)
+let live_pid = ref None
+
+let () =
+  at_exit (fun () ->
+      Option.iter
+        (fun pid ->
+          try
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+          with Unix.Unix_error _ -> ())
+        !live_pid)
+
 let start_daemon ~with_metrics =
   if Sys.file_exists socket then Sys.remove socket;
   let log =
@@ -142,6 +156,7 @@ let start_daemon ~with_metrics =
   let pid =
     Unix.create_process !daemon (Array.of_list args) Unix.stdin Unix.stdout log
   in
+  live_pid := Some pid;
   Unix.close log;
   (* wait for the socket to appear, but bail if the daemon died *)
   let rec poll n =
@@ -151,6 +166,7 @@ let start_daemon ~with_metrics =
       (match Unix.waitpid [ Unix.WNOHANG ] pid with
       | 0, _ -> ()
       | _, st ->
+        live_pid := None;
         fail "daemon died on startup (%s)"
           (match st with
           | Unix.WEXITED c -> Printf.sprintf "exit %d" c
@@ -166,6 +182,7 @@ let start_daemon ~with_metrics =
 let sigkill pid =
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
+  live_pid := None;
   bump kills
 
 (* ------------------------------------------------------------------ *)
@@ -266,6 +283,7 @@ let () =
   | Ok _ -> ()
   | Error f -> fail "shutdown failed: %a" Client.pp_failure f);
   ignore (Unix.waitpid [] pid);
+  live_pid := None;
 
   let k = !kills and rq = !requests and ok = !oks in
   Printf.printf

@@ -106,6 +106,71 @@ let test_provenance_parents_and_guard () =
     | None -> Alcotest.fail "expected guard image");
     Alcotest.(check int) "one null created" 1 (List.length d.Derivation.created_nulls)
 
+(* Derivation records are built only for facts that are actually new;
+   each must still be exact: it replays, its guard image is the
+   [Classify.guard_of] image under its homomorphism, and the hook sees the
+   very homomorphism recorded for the facts the step created. *)
+let test_derivations_exact () =
+  let sets =
+    [
+      ( "guarded-divergent-3",
+        Families.guarded_divergent ~arity:3,
+        "r(a, b, c). m(c)." );
+      ( "w1",
+        parse "w1: p(X, Y), q(Y, Z) -> p(Y, W), q(W, X).",
+        "p(a, b). q(b, c)." );
+    ]
+  in
+  List.iter
+    (fun (name, rules, facts) ->
+      let db = parse_facts facts in
+      List.iter
+        (fun variant ->
+          let ctx = Fmt.str "%s/%a" name Variant.pp variant in
+          let hooked = ref [] in
+          let on_trigger ~step ~rule_index:_ ~depth:_ ~created_nulls:_ _ hom
+              added =
+            hooked := (step, hom, added) :: !hooked
+          in
+          let result =
+            Engine.run
+              ~config:{ Engine.variant; limits = Limits.of_budget 2_000 }
+              ~on_trigger rules db
+          in
+          (match Engine.check_provenance result ~db with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s: %s" ctx msg);
+          Alcotest.(check bool) (ctx ^ ": budget reached") true
+            (result.Engine.triggers_applied = 2_000);
+          Atom.Tbl.iter
+            (fun a d ->
+              let want =
+                Option.map
+                  (Subst.apply_atom d.Derivation.hom)
+                  (Classify.guard_of d.Derivation.rule)
+              in
+              if not (Option.equal Atom.equal want d.Derivation.guard_parent)
+              then Alcotest.failf "%s: wrong guard parent of %a" ctx Atom.pp a)
+            result.Engine.provenance;
+          List.iter
+            (fun (step, hom, added) ->
+              List.iter
+                (fun a ->
+                  match Atom.Tbl.find_opt result.Engine.provenance a with
+                  | Some d
+                    when d.Derivation.step = step
+                         && Subst.equal hom d.Derivation.hom -> ()
+                  | Some _ | None ->
+                    Alcotest.failf "%s: step %d's hook hom is not the record of %a"
+                      ctx step Atom.pp a)
+                added)
+            !hooked;
+          Alcotest.(check int) (ctx ^ ": every created fact seen by the hook")
+            result.Engine.atoms_created
+            (List.fold_left (fun n (_, _, added) -> n + List.length added) 0 !hooked))
+        [ Variant.Oblivious; Variant.Semi_oblivious; Variant.Restricted ])
+    sets
+
 (* ------------- budgets ------------- *)
 
 let test_budget_is_respected () =
@@ -304,6 +369,8 @@ let suite =
     Alcotest.test_case "provenance depths" `Quick test_provenance_depths;
     Alcotest.test_case "provenance parents and guard" `Quick
       test_provenance_parents_and_guard;
+    Alcotest.test_case "lazily built derivations stay exact" `Quick
+      test_derivations_exact;
     Alcotest.test_case "budgets respected" `Quick test_budget_is_respected;
     Alcotest.test_case "trigger budget: sound partial prefix" `Quick
       test_trigger_budget_breach;

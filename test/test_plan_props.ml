@@ -10,7 +10,12 @@
     - a seeded plan places the pinned atom first;
     - the planned matcher enumerates exactly the naive matcher's
       substitution multiset, seeded or not, under any initial binding,
-      and under an adversarial explicit plan. *)
+      and under an adversarial explicit plan;
+    - the engine's slot-array triggers order as [Subst.compare] orders
+      their homomorphisms, and semi-oblivious frontier keys agree exactly
+      when the frontier-restricted homomorphisms do;
+    - the instance indexes (buckets, counts, distinct terms) agree with a
+      brute-force recount, buckets newest first. *)
 
 open Chase
 open Test_util
@@ -187,6 +192,118 @@ let dispatch_follows_set_matcher () =
         "matcher () reports the override" true
         (Hom.matcher () = Hom.Planned))
 
+(* ------------------------------------------------------------------ *)
+(* Slot-compiled triggers                                              *)
+(* ------------------------------------------------------------------ *)
+
+let sign c = compare c 0
+
+(* A rule over a random body whose head keeps a random subset of the body
+   variables (the frontier) and invents one null. *)
+let gen_rule st =
+  let body = gen_body st in
+  let module S = Chase_logic.Util.Sset in
+  let vars = List.fold_left (fun s a -> S.union s (Atom.var_set a)) S.empty body in
+  let kept = List.filter (fun _ -> Random.State.bool st) (S.elements vars) in
+  Tgd.make_exn ~body
+    ~head:[ Atom.of_list "h" (List.map (fun v -> Term.Var v) kept @ [ Term.Var "Z" ]) ]
+    ()
+
+let slot_order_is_subst_order =
+  qcheck ~count:150 "slot order = Subst.compare, frontier keys = restrict"
+    QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| 0x5107; seed |] in
+      let ins = gen_instance st ~atoms:(size_of_seed seed) in
+      let r = gen_rule st in
+      let c = Trigger.compile 0 r in
+      let subs = List.filteri (fun i _ -> i < 60) (Hom.all ins (Tgd.body r)) in
+      let trs = List.map (Trigger.of_subst c) subs in
+      let pairs = List.combine subs trs in
+      let frontier s = Subst.restrict s (Tgd.frontier r) in
+      let key = Trigger.key Variant.Semi_oblivious c in
+      List.for_all
+        (fun (s, t) ->
+          Subst.equal (Trigger.to_subst c t) s
+          && Subst.equal (Trigger.frontier_subst c t) (frontier s)
+          && List.for_all
+               (fun (s', t') ->
+                 sign (Trigger.compare t t') = sign (Subst.compare s s')
+                 && Trigger.equal (key t) (key t')
+                    = Subst.equal (frontier s) (frontier s')
+                 && ((not (Trigger.equal (key t) (key t')))
+                    || (key t).Trigger.hash = (key t').Trigger.hash))
+               pairs)
+        pairs
+      && List.equal Subst.equal
+           (List.sort Subst.compare subs)
+           (List.map (Trigger.to_subst c) (List.sort Trigger.compare trs)))
+
+(* ------------------------------------------------------------------ *)
+(* Instance indexes against a brute-force recount                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Facts over nulls and constants; [w] is used at arity 1 and at arity 3,
+   so its per-position tables must grow. *)
+let gen_mixed_fact st =
+  let term () =
+    if Random.State.int st 3 = 0 then Term.Null (1 + Random.State.int st 5)
+    else const st 6
+  in
+  let p, n =
+    [| ("p", 2); ("q", 3); ("w", 1); ("w", 3); ("z", 0) |].(Random.State.int st 5)
+  in
+  Atom.of_list p (List.init n (fun _ -> term ()))
+
+let instance_indexes_agree_with_recount =
+  qcheck ~count:100 "instance indexes = brute-force recount" QCheck.small_nat
+    (fun seed ->
+      let st = Random.State.make [| 0x1D5; seed |] in
+      let ins = Instance.create () in
+      (* facts actually inserted, newest first *)
+      let added = ref [] in
+      for _ = 1 to 1 + Random.State.int st 120 do
+        let a = gen_mixed_fact st in
+        if Instance.add ins a then added := a :: !added
+      done;
+      let facts = !added in
+      let sorted l = List.sort Atom.compare l in
+      let terms = Term.Null 99 :: Term.Set.elements (Instance.term_set ins) in
+      let arg_at i a =
+        if 0 <= i && i < Atom.arity a then Some (Atom.arg a i) else None
+      in
+      let at p i t a =
+        Atom.pred a = p && Option.equal Term.equal (arg_at i a) (Some t)
+      in
+      List.equal Atom.equal (sorted (Instance.to_list ins)) (sorted facts)
+      && List.for_all
+           (fun p ->
+             let of_p = List.filter (fun a -> Atom.pred a = p) facts in
+             Instance.count_of_pred ins p = List.length of_p
+             && List.equal Atom.equal (Instance.atoms_of_pred ins p) of_p
+             && List.for_all
+                  (fun i ->
+                    let distinct =
+                      List.sort_uniq Term.compare (List.filter_map (arg_at i) of_p)
+                    in
+                    Instance.distinct_at ins p i = List.length distinct
+                    && List.for_all
+                         (fun t ->
+                           let want = List.filter (at p i t) facts in
+                           Instance.count_matching ins p i t = List.length want
+                           && List.equal Atom.equal
+                                (Instance.atoms_matching ins p i t) want)
+                         terms)
+                  [ -1; 0; 1; 2; 3 ])
+           [ "p"; "q"; "w"; "z"; "absent" ]
+      && List.for_all
+           (fun t ->
+             List.equal Atom.equal
+               (Instance.atoms_containing ins t)
+               (List.filter
+                  (fun a -> Array.exists (Term.equal t) (Atom.args a))
+                  facts))
+           terms)
+
 let suite =
   [
     Alcotest.test_case "plans are permutations of the body" `Quick
@@ -205,4 +322,6 @@ let suite =
       explicit_plan_equals_naive;
     Alcotest.test_case "dispatch follows set_matcher" `Quick
       dispatch_follows_set_matcher;
+    slot_order_is_subst_order;
+    instance_indexes_agree_with_recount;
   ]

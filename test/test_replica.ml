@@ -372,8 +372,10 @@ let test_shipper_chaos_resync () =
 let test_streaming_progress () =
   let socket = tmp ".sock" in
   let server = Server.start (Server.config ~workers:2 socket) in
-  let program = cycle_graph 30 in
-  let budget = 30_000 in
+  (* the first frame is due 50 ms into the chase: 64,000 triggers keep
+     the run well past that on a fast engine *)
+  let program = cycle_graph 40 in
+  let budget = 100_000 in
   let code, out, err =
     Test_service.driver_bytes Proto.Chase ~budget ~src:program ~quiet:true
   in
