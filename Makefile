@@ -1,6 +1,9 @@
-# Developer entry points; CI runs `make check` and `make check-naive`.
+# Developer entry points.  CI (.github/workflows/ci.yml) runs `make lint`,
+# `make check`, `make check-naive`, `make check-pruned`, the benchmark
+# self-test and the quick experiment harness, and in separate jobs
+# `make soak` and `make soak-failover`.
 
-.PHONY: all build test check-naive check-parallel check-pruned smoke obs-smoke soak soak-failover lint fmt fmt-ml check clean
+.PHONY: all build test check-naive check-pruned smoke obs-smoke soak soak-failover lint fmt fmt-ml check clean
 
 all: build
 
@@ -15,12 +18,6 @@ test:
 # guards the normative semantics behind the join planner
 check-naive:
 	CHASE_NAIVE=1 dune runtest --force
-
-# the same suite with every chase fanned across 4 domains
-# (CHASE_DOMAINS=4): guards the freeze-shard-merge determinism doctrine
-# — the whole battery must behave bit-identically to sequential runs
-check-parallel:
-	CHASE_DOMAINS=4 dune runtest --force
 
 # the same suite with the static trigger-relevance index disabled
 # (CHASE_NO_PRUNE=1): guards the pruning doctrine — the index only ever

@@ -970,129 +970,6 @@ let e14 quick =
   List.iter rm_rf [ a; b; ship; spool_p; spool_s; metrics ]
 
 (* ------------------------------------------------------------------ *)
-(* E15 — parallel chase: multicore scaling + determinism audit         *)
-(* ------------------------------------------------------------------ *)
-
-let e15 quick =
-  section "E15  Parallel chase: multicore scaling + determinism audit";
-  (* Speedup numbers are honest wall-clock on this host — on a
-     single-core box the parallel plane can only cost (domain spawns,
-     batch handshakes), never gain; the recorded [host_cores] says which
-     regime the numbers came from. *)
-  let host_cores = Domain.recommended_domain_count () in
-  Fmt.pr "host: %d recommended domain(s)%s@.@." host_cores
-    (if host_cores = 1 then
-       " — expect overhead, not speedup; determinism is the claim under \
-        test"
-     else "");
-  record "E15" "host_cores" (jint host_cores);
-  let wall_avg ?(reps = 1) f =
-    let total = ref 0.0 in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      total := !total +. (Unix.gettimeofday () -. t0)
-    done;
-    !total /. float_of_int reps
-  in
-  let same_run a b =
-    a.Engine.triggers_applied = b.Engine.triggers_applied
-    && a.Engine.nulls_created = b.Engine.nulls_created
-    && List.equal Atom.equal
-         (Instance.to_sorted_list a.Engine.instance)
-         (Instance.to_sorted_list b.Engine.instance)
-  in
-  (* Wall-clock scaling on the E12 star-join workload: matching dominates
-     there, which is exactly the phase the parallel plane shards. *)
-  let width = if quick then 6 else 8 in
-  let hubs = if quick then 1_200 else 2_500 in
-  let rules = Families.wide_body ~width in
-  let db = Families.wide_body_db ~hubs ~fanout:3 in
-  let config =
-    {
-      Engine.variant = Variant.Oblivious;
-      limits = Limits.make ~max_triggers:200_000 ~max_atoms:800_000 ();
-    }
-  in
-  Fmt.pr "%8s %11s %9s %7s@." "domains" "wall" "speedup" "agree";
-  hr ();
-  let baseline = ref None in
-  let t1 = ref 1.0 in
-  let all_agree = ref true in
-  List.iter
-    (fun domains ->
-      let last = ref None in
-      let t =
-        wall_avg (fun () ->
-            let r = Engine.run ~config ~domains rules db in
-            last := Some r;
-            r)
-      in
-      let r = Option.get !last in
-      let agree =
-        match !baseline with
-        | None ->
-          baseline := Some r;
-          true
-        | Some b -> same_run b r
-      in
-      if domains = 1 then t1 := t;
-      if not agree then all_agree := false;
-      let speedup = !t1 /. t in
-      Fmt.pr "%8d %a %8.2fx %7b@." domains pp_time t speedup agree;
-      record "E15" (Fmt.str "wide_body_seconds[d%d]" domains) (jfloat t);
-      record "E15" (Fmt.str "wide_body_speedup[d%d]" domains) (jfloat speedup);
-      record "E15" (Fmt.str "wide_body_agree[d%d]" domains) (jbool agree))
-    [ 1; 2; 4 ];
-  record "E15" "wide_body_agreement" (jbool !all_agree);
-  (* The parallel plane's own telemetry on an observed 4-domain run:
-     achieved parallelism (busy/wall) and the merge-latency histogram. *)
-  let obs = Obs.create [] in
-  ignore (Engine.run ~config ~obs ~domains:4 rules db);
-  let m = Obs.metrics obs in
-  (match Metrics.gauge_value m "chase.parallel.parallelism" with
-  | Some p ->
-    Fmt.pr "@.achieved parallelism @4 domains: %.2fx@." p;
-    record "E15" "parallelism[d4]" (jfloat p)
-  | None -> ());
-  (match Metrics.hist_stats m "chase.parallel.merge_s" with
-  | Some (count, sum, _, _, p50, _, p99) ->
-    Fmt.pr "merge latency: %d batches, %.1f ms total, p50 %.1f µs, p99 %.1f µs@."
-      count (sum *. 1e3) (p50 *. 1e6) (p99 *. 1e6);
-    record "E15" "merge_batches" (jint count);
-    record "E15" "merge_seconds_total" (jfloat sum);
-    record "E15" "merge_p99_seconds" (jfloat p99)
-  | None -> ());
-  let steals =
-    List.fold_left
-      (fun acc label -> acc + Metrics.counter_value m ~label "chase.parallel.steals")
-      0
-      (Metrics.labels_of m "chase.parallel.steals")
-  in
-  record "E15" "steals[d4]" (jint steals);
-  (* Determinism sweep: random guarded critical-instance chases, 4-domain
-     vs sequential, literal run equality. *)
-  let seeds = if quick then 15 else 50 in
-  let agree = ref 0 in
-  for seed = 0 to seeds - 1 do
-    let rules = Random_tgds.guarded ~seed () in
-    let db = Instance.to_list (Critical.of_rules ~standard:false rules) in
-    let config =
-      {
-        Engine.variant = Variant.Semi_oblivious;
-        limits = Limits.make ~max_triggers:4_000 ~max_atoms:16_000 ();
-      }
-    in
-    let r1 = Engine.run ~config ~domains:1 rules db in
-    let r4 = Engine.run ~config ~domains:4 rules db in
-    if same_run r1 r4 then incr agree
-  done;
-  Fmt.pr "random guarded sets, parallel ≡ sequential run-for-run: %d/%d@."
-    !agree seeds;
-  record "E15" "guarded_sets" (jint seeds);
-  record "E15" "guarded_agreement" (jint !agree)
-
-(* ------------------------------------------------------------------ *)
 (* E16 — static trigger-relevance pruning: fewer enqueues, same run    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1199,7 +1076,7 @@ let e16 quick =
       Engine.variant = Variant.Oblivious;
       limits = Limits.of_budget 100_000;
     };
-  (* The E12/E15 star join: a single wide rule, but the out-facts it
+  (* The E12 star join: a single wide rule, but the out-facts it
      derives can never re-seed its own body. *)
   let width = if quick then 6 else 8 in
   let hubs = if quick then 1_200 else 2_500 in
@@ -1460,7 +1337,6 @@ let () =
   e12 quick;
   e13 quick;
   e14 quick;
-  e15 quick;
   e16 quick;
   e17 quick;
   microbenches ();

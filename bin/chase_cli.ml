@@ -57,12 +57,11 @@ let variant_conv =
    with the service daemon; this executable only parses argv and reads
    the file. *)
 let run file variant budget max_atoms timeout progress critical standard quiet
-    naive no_prune domains journal snapshot_every journal_sync resume lint
+    naive no_prune journal snapshot_every journal_sync resume lint
     trace metrics flight profile =
   if naive then Hom.set_matcher Hom.Naive;
   (match flight with Some _ as path -> Flight.configure ~path | None -> ());
   if no_prune then Relevance.force_disable true;
-  Option.iter Parallel.set_domains domains;
   match read_file file with
   | Error msg ->
     Fmt.epr "error: cannot read input: %s@." msg;
@@ -139,23 +138,6 @@ let no_prune_arg =
                  only skips provably empty matches).  Equivalent to \
                  setting CHASE_NO_PRUNE=1.")
 
-let domains_conv =
-  let parse s =
-    match Parallel.parse_domains s with
-    | Ok d -> Ok d
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Fmt.int)
-
-let domains_arg =
-  Arg.(value & opt (some domains_conv) None
-       & info [ "domains" ] ~docv:"N"
-           ~doc:"Fan trigger discovery across $(docv) domains (OCaml \
-                 multicore).  The chase sequence, printed instance and \
-                 journal bytes are bit-identical to a single-domain run; \
-                 only wall-clock changes.  Equivalent to setting \
-                 CHASE_DOMAINS=$(docv); default 1.")
-
 let journal_arg =
   Arg.(value & opt (some string) None
        & info [ "journal" ] ~docv:"FILE"
@@ -229,7 +211,7 @@ let cmd =
     Cmdliner.Term.(
       const run $ file_arg $ variant_arg $ budget_arg $ max_atoms_arg
       $ timeout_arg $ progress_arg $ critical_arg $ standard_arg $ quiet_arg
-      $ naive_arg $ no_prune_arg $ domains_arg $ journal_arg $ snapshot_every_arg
+      $ naive_arg $ no_prune_arg $ journal_arg $ snapshot_every_arg
       $ journal_sync_arg $ resume_arg $ lint_arg $ trace_arg $ metrics_arg
       $ flight_arg $ profile_arg)
 

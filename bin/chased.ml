@@ -57,9 +57,8 @@ let install_stop_signals stop =
 
 let run socket workers queue_cap pool_total per_request_cap min_grant
     cache_capacity spool_dir default_timeout read_timeout metrics trace_shard
-    flight domains ship_to sync_timeout standby_of chaos_kill_accept chaos_drop
+    flight ship_to sync_timeout standby_of chaos_kill_accept chaos_drop
     chaos_slow =
-  Option.iter Parallel.set_domains domains;
   let faults =
     (match chaos_kill_accept with
     | Some n -> [ Faults.Kill_accept_after n ]
@@ -212,22 +211,6 @@ let flight_arg =
                  events to $(docv) on crash-recovery boots, stalls and \
                  sheds.")
 
-let domains_conv =
-  let parse s =
-    match Parallel.parse_domains s with
-    | Ok d -> Ok d
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Fmt.int)
-
-let domains_arg =
-  Arg.(value & opt (some domains_conv) None
-       & info [ "domains" ] ~docv:"N"
-           ~doc:"Fan each served run's trigger discovery across $(docv) \
-                 domains (OCaml multicore); responses, journals and \
-                 verdicts are bit-identical to single-domain serving.  \
-                 Equivalent to setting CHASE_DOMAINS=$(docv); default 1.")
-
 let ship_to_arg =
   Arg.(value & opt (some string) None
        & info [ "ship-to" ] ~docv:"SOCKET"
@@ -273,8 +256,8 @@ let cmd =
       const run $ socket_arg $ workers_arg $ queue_cap_arg $ pool_total_arg
       $ per_request_cap_arg $ min_grant_arg $ cache_capacity_arg $ spool_arg
       $ default_timeout_arg $ read_timeout_arg $ metrics_arg
-      $ trace_shard_arg $ flight_arg $ domains_arg
-      $ ship_to_arg $ sync_timeout_arg $ standby_of_arg
+      $ trace_shard_arg $ flight_arg $ ship_to_arg $ sync_timeout_arg
+      $ standby_of_arg
       $ chaos_kill_accept_arg $ chaos_drop_arg $ chaos_slow_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -46,11 +46,10 @@ let variant_conv =
 (* The whole run lives in {!Chase.Driver.decide}, shared byte-for-byte
    with the service daemon; this executable only parses argv and reads
    the file. *)
-let run file variant budget standard timeout progress naive no_prune domains
+let run file variant budget standard timeout progress naive no_prune
     report lint trace metrics profile =
   if naive then Hom.set_matcher Hom.Naive;
   if no_prune then Relevance.force_disable true;
-  Option.iter Parallel.set_domains domains;
   match read_file file with
   | Error msg ->
     Fmt.epr "error: cannot read input: %s@." msg;
@@ -110,23 +109,6 @@ let no_prune_arg =
                  budgeted chase.  Bit-identical to the pruned run.  \
                  Equivalent to setting CHASE_NO_PRUNE=1.")
 
-let domains_conv =
-  let parse s =
-    match Parallel.parse_domains s with
-    | Ok d -> Ok d
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Fmt.int)
-
-let domains_arg =
-  Arg.(value & opt (some domains_conv) None
-       & info [ "domains" ] ~docv:"N"
-           ~doc:"Fan the budgeted chases' trigger discovery across $(docv) \
-                 domains (OCaml multicore).  Verdicts and diagnostics are \
-                 bit-identical to a single-domain run; only wall-clock \
-                 changes.  Equivalent to setting CHASE_DOMAINS=$(docv); \
-                 default 1.")
-
 let report_arg =
   Arg.(value & flag
        & info [ "report" ]
@@ -165,7 +147,7 @@ let cmd =
     (Cmd.info "chase-termination" ~doc)
     Cmdliner.Term.(
       const run $ file_arg $ variant_arg $ budget_arg $ standard_arg
-      $ timeout_arg $ progress_arg $ naive_arg $ no_prune_arg $ domains_arg
+      $ timeout_arg $ progress_arg $ naive_arg $ no_prune_arg
       $ report_arg $ lint_arg $ trace_arg $ metrics_arg $ profile_arg)
 
 let () = exit (Cmd.eval' cmd)

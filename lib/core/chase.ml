@@ -4,7 +4,7 @@
 
     - logic substrate: {!Term}, {!Atom}, {!Subst}, {!Instance}, {!Hom},
       {!Plan}, {!Tgd}, {!Schema}, {!Pattern}, {!Parser};
-    - chase engine: {!Variant}, {!Engine}, {!Trigger}, {!Parallel},
+    - chase engine: {!Variant}, {!Engine}, {!Trigger},
       {!Limits}, {!Watchdog}, {!Faults}, {!Critical}, {!Derivation};
     - observability: {!Obs}, {!Metrics}, {!Sink}, {!Jsonv}, {!Profile},
       {!Tracectx}, {!Flight}, {!Telemetry};
@@ -53,7 +53,6 @@ module Core_model = Chase_logic.Core_model
 module Variant = Chase_engine.Variant
 module Engine = Chase_engine.Engine
 module Trigger = Chase_engine.Trigger
-module Parallel = Chase_engine.Parallel
 module Limits = Chase_engine.Limits
 module Watchdog = Chase_engine.Watchdog
 module Faults = Chase_engine.Faults

@@ -117,8 +117,8 @@ type resume = {
     plus per-rule firings/nulls/probes/time breakdowns.  The default
     {!Obs.disabled} reduces every instrumentation point to one flag
     test. *)
-let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
-    ?on_trigger ?watchdog rules db =
+let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
+    ?watchdog rules db =
   let rules = Array.of_list rules in
   (* Triggers are slot arrays over rules compiled once per run (DESIGN.md
      §3.1); a substitution is built only where one is consumed. *)
@@ -138,21 +138,6 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
     prune_skipped := !prune_skipped + nr - List.length rel;
     rel
   in
-  let domains =
-    match domains with Some d -> d | None -> Parallel.default_domains ()
-  in
-  if domains < 1 then invalid_arg "Engine.run: domains must be >= 1";
-  (* The multicore matching plane (DESIGN.md §3.10).  The pool lives for
-     exactly one run; [Fun.protect] joins every worker domain on all exit
-     paths — normal termination, limit exhaustion, cancellation,
-     exceptions — so a governed run never leaks a domain. *)
-  let pool =
-    if domains > 1 && Array.length rules > 0 then
-      Some (Parallel.create ~domains)
-    else None
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Parallel.shutdown pool)
-  @@ fun () ->
   let tracked = Obs.enabled obs in
   let instance = Instance.create () in
   List.iter (fun a -> ignore (Instance.add instance a)) db;
@@ -253,72 +238,6 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
         acc := sub :: !acc);
     enqueue_found i !acc
   in
-  (* Parallel discovery (freeze–shard–merge, DESIGN.md §3.10): each event
-     matches one (rule[, seed fact]) body against the instance — frozen
-     for the whole batch, every head atom of the step having been added
-     before discovery starts — on whichever domain claims it.  The
-     substitution lists come back positionally, in canonical event order
-     (seed phase: rule index; delta phase: added-fact order × rule
-     index), and are merged on this domain through the same
-     canonicalising [enqueue_found] as the sequential path, so the
-     worklist — and with it the chase sequence, journal bytes and null
-     stamps — is bit-identical whatever the schedule.  Workers never
-     touch [obs] or the queue; they time themselves with the real clock
-     and count their own candidate work through the matcher's
-     domain-local counter ({!Hom.Stats.local_candidates_now}) — each
-     event runs entirely on one domain, so the local delta around it is
-     exactly its work, and per-rule probe attribution is identical to a
-     single-domain run (pinned by the parallel battery). *)
-  let merge_timings = ref [] in
-  let discover_all_parallel p =
-    let results =
-      Parallel.map p (Array.length rules) (fun i ->
-          let t0 = Unix.gettimeofday () in
-          let c0 = Hom.Stats.local_candidates_now () in
-          let acc = ref [] in
-          Hom.iter instance (Tgd.body rules.(i)) (fun sub -> acc := sub :: !acc);
-          ( !acc,
-            Unix.gettimeofday () -. t0,
-            Hom.Stats.local_candidates_now () - c0 ))
-    in
-    let m0 = if tracked then Obs.now obs else 0. in
-    Array.iteri
-      (fun i (subs, dt, dc) ->
-        enqueue_found i subs;
-        if tracked then begin
-          prof_match.(i) <- prof_match.(i) +. dt;
-          prof_time.(i) <- prof_time.(i) +. dt;
-          prof_probes.(i) <- prof_probes.(i) + dc
-        end)
-      results;
-    if tracked then merge_timings := (Obs.now obs -. m0) :: !merge_timings
-  in
-  let discover_seeded_parallel p added =
-    (* Explicit (rule, fact) event array in canonical order — added-fact
-       order major, ascending relevant rule index minor — exactly the
-       order the unpruned [e mod nr]/[e / nr] encoding walked, minus the
-       provably-empty events. *)
-    let events =
-      Array.of_list
-        (List.concat_map
-           (fun fact -> List.map (fun i -> (i, fact)) (sweep fact))
-           added)
-    in
-    let n = Array.length events in
-    if n > 0 then begin
-      let results =
-        Parallel.map p n (fun e ->
-            let i, seed = events.(e) in
-            let acc = ref [] in
-            Hom.iter_seeded instance (Tgd.body rules.(i)) ~seed (fun sub ->
-                acc := sub :: !acc);
-            !acc)
-      in
-      let m0 = if tracked then Obs.now obs else 0. in
-      Array.iteri (fun e subs -> enqueue_found (fst events.(e)) subs) results;
-      if tracked then merge_timings := (Obs.now obs -. m0) :: !merge_timings
-    end
-  in
   if tracked then
     Obs.span_begin obs "chase"
       ~args:
@@ -328,19 +247,16 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
           ("db", Chase_obs.Jsonv.Int (List.length db));
         ];
   Obs.span_begin obs "seed";
-  (match pool with
-  | Some p -> discover_all_parallel p
-  | None ->
-    (* Discovery runs stratum-ordered (producers before consumers — the
-       warmest access pattern for the instance indexes), but over a
-       frozen instance the order cannot change what is found; enqueueing
-       stays in plain rule-index order, so the worklist is identical to
-       an unordered seed. *)
-    let found = Array.make (Array.length rules) [] in
-    Array.iter
-      (fun i -> found.(i) <- discover_all_for_rule i)
-      (Relevance.seed_order relevance);
-    Array.iteri enqueue_found found);
+  (* Discovery runs stratum-ordered (producers before consumers — the
+     warmest access pattern for the instance indexes), but over a frozen
+     instance the order cannot change what is found; enqueueing stays in
+     plain rule-index order, so the worklist is identical to an unordered
+     seed. *)
+  let found = Array.make (Array.length rules) [] in
+  Array.iter
+    (fun i -> found.(i) <- discover_all_for_rule i)
+    (Relevance.seed_order relevance);
+  Array.iteri enqueue_found found;
   Obs.span_end obs "seed";
   let apply tr =
     let t_start = if tracked then Obs.now obs else 0. in
@@ -385,13 +301,10 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
        seeded it. *)
     let m0 = if tracked then Obs.now obs else 0. in
     Obs.span_begin obs "match";
-    (match pool with
-    | Some p -> discover_seeded_parallel p added
-    | None ->
-      List.iter
-        (fun fact ->
-          List.iter (fun i -> enqueue_seeded_for_rule i fact) (sweep fact))
-        added);
+    List.iter
+      (fun fact ->
+        List.iter (fun i -> enqueue_seeded_for_rule i fact) (sweep fact))
+      added;
     Obs.span_end obs "match";
     if tracked then
       prof_match.(i) <- prof_match.(i) +. (Obs.now obs -. m0);
@@ -509,31 +422,6 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?domains ?resume
           Obs.observe obs ~label "chase.rule.time_s" prof_time.(i)
         end)
       rules;
-    (match pool with
-    | None -> ()
-    | Some p ->
-      (* The parallel plane's effort breakdown: per-domain shard sizes
-         and steal counts, the merge-latency histogram, and the achieved
-         parallelism (sum of in-batch busy time over batch wall time —
-         the speedup an ideal merge would realise). *)
-      let st = Parallel.stats p in
-      Obs.set_gauge obs "chase.parallel.domains"
-        (float_of_int st.Parallel.domains);
-      Obs.incr obs ~by:st.Parallel.batches "chase.parallel.batches";
-      Array.iteri
-        (fun d e ->
-          let label = Fmt.str "domain%d" d in
-          Obs.incr obs ~label ~by:e "chase.parallel.events";
-          Obs.incr obs ~label ~by:st.Parallel.steals.(d)
-            "chase.parallel.steals";
-          Obs.observe obs ~label "chase.parallel.busy_s" st.Parallel.busy.(d))
-        st.Parallel.events;
-      List.iter
-        (fun dt -> Obs.observe obs "chase.parallel.merge_s" dt)
-        (List.rev !merge_timings);
-      if st.Parallel.wall > 0. then
-        Obs.set_gauge obs "chase.parallel.parallelism"
-          (Array.fold_left ( +. ) 0. st.Parallel.busy /. st.Parallel.wall));
     Obs.instant obs "chase.done"
       ~args:
         [

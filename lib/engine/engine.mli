@@ -80,7 +80,6 @@ type resume = {
 val run :
   ?config:config ->
   ?obs:Chase_obs.Obs.t ->
-  ?domains:int ->
   ?resume:resume ->
   ?on_trigger:
     (step:int ->
@@ -112,14 +111,8 @@ val run :
     display name) into its registry; the default {!Chase_obs.Obs.disabled}
     reduces every instrumentation point to a flag test.
 
-    [domains] selects the multicore matching plane (default
-    {!Parallel.default_domains}, i.e. [1] unless [CHASE_DOMAINS] or
-    {!Parallel.set_domains} says otherwise): with [domains > 1] each
-    step's trigger discovery fans across a {!Parallel} pool and is merged
-    back in canonical event order, so the run — applied sequence, null
-    stamps, journal bytes, verdicts — is bit-identical to [domains = 1];
-    only wall-clock and the [chase.parallel.*] metrics differ.  The pool
-    lives for exactly this run and is joined on every exit path. *)
+    Trigger discovery is sequential: the seed sweep and the per-fact
+    delta sweep run on the calling thread. *)
 
 val depth_of : result -> Atom.t -> int
 (** Chase depth of a fact; database facts have depth 0. *)

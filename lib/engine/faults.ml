@@ -76,41 +76,6 @@ module Writes = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Parallel-plane faults                                               *)
-(* ------------------------------------------------------------------ *)
-
-(** Faults of the multicore matching plane, consumed by
-    [Chase_engine.Parallel]: a deterministic per-domain slowdown — the
-    armed domain sleeps for the configured seconds before {e every}
-    discovery event it claims.  Skewing one domain's speed reshuffles
-    which domain matches which event (work stealing drains the slack),
-    which is exactly what the determinism battery needs to perturb: the
-    merged event order, and with it the whole chase sequence, must not
-    move.  The registry is an immutable array behind an [Atomic] so the
-    per-event read in the workers is a single load, never a lock. *)
-module Parallel_delays = struct
-  (* index d = seconds of sleep before each event claimed by domain d *)
-  let delays : float array Atomic.t = Atomic.make [||]
-
-  let arm ds =
-    let top = List.fold_left (fun m (d, _) -> max m d) (-1) ds in
-    if top < 0 then Atomic.set delays [||]
-    else begin
-      let a = Array.make (top + 1) 0. in
-      List.iter
-        (fun (d, s) -> if d >= 0 && s > 0. then a.(d) <- a.(d) +. s)
-        ds;
-      Atomic.set delays a
-    end
-
-  let reset () = Atomic.set delays [||]
-
-  let delay_for d =
-    let a = Atomic.get delays in
-    if d >= 0 && d < Array.length a then a.(d) else 0.
-end
-
-(* ------------------------------------------------------------------ *)
 (* Service-level faults                                                *)
 (* ------------------------------------------------------------------ *)
 

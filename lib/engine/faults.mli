@@ -46,25 +46,6 @@ module Writes : sig
   (** Disarm every path (test teardown). *)
 end
 
-(** Faults of the multicore matching plane (consumed by
-    [Chase_engine.Parallel]): an armed domain really sleeps for the
-    configured seconds before every discovery event it claims, skewing
-    the work-stealing schedule so other domains drain its share.  The
-    determinism battery arms these to prove the merged event order —
-    and with it the whole chase sequence — never moves.  Thread-safe;
-    the per-event read in the workers is one atomic load. *)
-module Parallel_delays : sig
-  val arm : (int * float) list -> unit
-  (** [(domain, seconds)] pairs; replaces the current arming.  Pairs on
-      the same domain accumulate; non-positive delays are ignored. *)
-
-  val reset : unit -> unit
-  (** Disarm every domain (test teardown). *)
-
-  val delay_for : int -> float
-  (** Seconds a given domain must sleep before each claimed event. *)
-end
-
 (** Faults of the request/response plane of the chase service (consumed
     by [Chase_service.Server]): the accept loop really exits, the
     response socket is really closed or throttled mid-write. *)

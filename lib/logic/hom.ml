@@ -44,15 +44,10 @@ let match_atom sub pat fact =
 (* ------------------------------------------------------------------ *)
 
 module Stats = struct
-  (* Module-level counters, always on.  They were plain [int ref]s until
-     the parallel chase arrived: matching now runs on several domains at
-     once, and unguarded increments would race (losing counts, breaking
-     the parallel-equals-sequential totals audit).  Each counter is an
-     [Atomic.t]; a fetch-and-add costs a few nanoseconds more than a ref
-     increment, which the candidate walks around it dwarf.  Totals are
-     therefore exact regardless of how many domains matched: the same
-     events are matched exactly once each, so a parallel run's deltas
-     equal the sequential run's (pinned by the test suite). *)
+  (* Module-level counters, always on.  Plain refs suffice: matching
+     runs on one domain, and the service's worker threads are systhreads
+     of that domain, which never switch in the middle of an [incr] (it
+     neither allocates nor polls), so no count is lost. *)
 
   type snapshot = {
     probes : int;  (** index probes at a determined position *)
@@ -66,39 +61,22 @@ module Stats = struct
             position — the naive policy's estimate *)
   }
 
-  let probes = Atomic.make 0
-  let full_scans = Atomic.make 0
-  let candidates = Atomic.make 0
-  let matches = Atomic.make 0
-  let planned_probe_cost = Atomic.make 0
-  let naive_probe_cost = Atomic.make 0
-  let bump c = Atomic.incr c
-  let bump_by c n = ignore (Atomic.fetch_and_add c n)
-
-  (* Per-domain mirror of [candidates].  The global atomic stays exact
-     in total but cannot attribute work to a (rule, seed) event when
-     several domains match at once; each event runs entirely on one
-     domain, so the domain-local delta around it is exactly its own
-     candidate count, whatever the other domains do meanwhile.  The
-     engine's parallel discovery reads it to keep per-rule probe
-     attribution identical to a single-domain run. *)
-  let local_candidates : int ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref 0)
-
-  let bump_candidate () =
-    Atomic.incr candidates;
-    incr (Domain.DLS.get local_candidates)
-
-  let local_candidates_now () = !(Domain.DLS.get local_candidates)
+  let probes = ref 0
+  let full_scans = ref 0
+  let candidates = ref 0
+  let matches = ref 0
+  let planned_probe_cost = ref 0
+  let naive_probe_cost = ref 0
+  let bump_by c n = c := !c + n
 
   let snapshot () =
     {
-      probes = Atomic.get probes;
-      full_scans = Atomic.get full_scans;
-      candidates = Atomic.get candidates;
-      matches = Atomic.get matches;
-      planned_probe_cost = Atomic.get planned_probe_cost;
-      naive_probe_cost = Atomic.get naive_probe_cost;
+      probes = !probes;
+      full_scans = !full_scans;
+      candidates = !candidates;
+      matches = !matches;
+      planned_probe_cost = !planned_probe_cost;
+      naive_probe_cost = !naive_probe_cost;
     }
 
   let diff a b =
@@ -112,14 +90,14 @@ module Stats = struct
     }
 
   let reset () =
-    Atomic.set probes 0;
-    Atomic.set full_scans 0;
-    Atomic.set candidates 0;
-    Atomic.set matches 0;
-    Atomic.set planned_probe_cost 0;
-    Atomic.set naive_probe_cost 0
+    List.iter
+      (fun c -> c := 0)
+      [
+        probes; full_scans; candidates; matches; planned_probe_cost;
+        naive_probe_cost;
+      ]
 
-  let candidates_now () = Atomic.get candidates
+  let candidates_now () = !candidates
 end
 
 (* ------------------------------------------------------------------ *)
@@ -128,10 +106,11 @@ end
 
 type matcher = Planned | Naive
 
-(* Read eagerly at module initialisation, not lazily: worker domains of
-   the parallel chase call [matcher ()] concurrently, and forcing a lazy
-   from two domains at once raises [CamlinternalLazy.Undefined].  The
-   environment cannot change the selection mid-process anyway. *)
+(* Read eagerly at module initialisation, not lazily: the service's
+   worker threads call [matcher ()] concurrently, and a thread switch
+   while one of them forces a lazy makes the other's force raise
+   [CamlinternalLazy.Undefined].  The environment cannot change the
+   selection mid-process anyway. *)
 let matcher_of_env =
   match Sys.getenv_opt "CHASE_NAIVE" with
   | Some ("1" | "true" | "yes" | "on") -> Naive
@@ -164,10 +143,10 @@ let candidates ins sub pat =
   in
   match find_bound 0 with
   | Some (i, t) ->
-    Stats.bump Stats.probes;
+    incr Stats.probes;
     Instance.atoms_matching ins (Atom.pred pat) i t
   | None ->
-    Stats.bump Stats.full_scans;
+    incr Stats.full_scans;
     Instance.atoms_of_pred ins (Atom.pred pat)
 
 exception Stop
@@ -181,7 +160,7 @@ let iter_naive ?(init = Subst.empty) ins pats f =
     | pat :: rest ->
       List.iter
         (fun fact ->
-          Stats.bump_candidate ();
+          incr Stats.candidates;
           match match_atom sub pat fact with
           | Some sub' -> go rest sub'
           | None -> ())
@@ -211,7 +190,7 @@ let iter_seeded_naive ?(init = Subst.empty) ins pats ~seed f =
         else
           List.iter
             (fun fact ->
-              Stats.bump_candidate ();
+              incr Stats.candidates;
               if i < pin && Atom.equal fact seed then ()
                 (* an earlier atom matching [seed] is handled by a smaller
                    [pin]; skip to avoid duplicates *)
@@ -254,12 +233,12 @@ let candidates_best ins sub pat =
   done;
   match !best with
   | Some (c, i, t) ->
-    Stats.bump Stats.probes;
+    incr Stats.probes;
     Stats.bump_by Stats.planned_probe_cost c;
     Stats.bump_by Stats.naive_probe_cost (if !first >= 0 then !first else c);
     Instance.atoms_matching ins p i t
   | None ->
-    Stats.bump Stats.full_scans;
+    incr Stats.full_scans;
     Instance.atoms_of_pred ins p
 
 (* Below this instance size, planning and count probes cost more than the
@@ -280,7 +259,7 @@ let run_plan ~skip_seed pats_arr plan ~from ins sub0 f =
       let pos = order.(k) in
       List.iter
         (fun fact ->
-          Stats.bump_candidate ();
+          incr Stats.candidates;
           if skip_seed pos fact then ()
           else
             match match_atom sub pats_arr.(pos) fact with
@@ -304,7 +283,7 @@ let iter_planned ?(init = Subst.empty) ?plan ins pats f =
     (* single atom: nothing to order, but still probe the best index *)
     List.iter
       (fun fact ->
-        Stats.bump_candidate ();
+        incr Stats.candidates;
         match match_atom init pat fact with Some s -> f s | None -> ())
       (candidates_best ins init pat)
   | _ ->
@@ -346,7 +325,7 @@ let iter_seeded_planned ?(init = Subst.empty) ins pats ~seed f =
     [init] with [s pats ⊆ ins], through the selected matcher. *)
 let iter ?init ins pats f =
   let f s =
-    Stats.bump Stats.matches;
+    incr Stats.matches;
     f s
   in
   match matcher () with
@@ -358,7 +337,7 @@ let iter ?init ins pats f =
     [seed].  Each qualifying substitution is produced exactly once. *)
 let iter_seeded ?init ins pats ~seed f =
   let f s =
-    Stats.bump Stats.matches;
+    incr Stats.matches;
     f s
   in
   match matcher () with

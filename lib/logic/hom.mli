@@ -20,12 +20,10 @@ val match_atom : Subst.t -> Atom.t -> Atom.t -> Subst.t option
 (** {1 Search-effort accounting}
 
     Process-wide counters of matcher work, always on (each is a single
-    atomic increment on its code path — atomic because the parallel
-    chase matches from several domains concurrently, and totals must
-    stay exact).  The engine snapshots them around each trigger search
-    to attribute probe work to rules; the benchmarks diff them across
-    planned/naive runs; the parallel test battery asserts that a
-    multi-domain run's deltas equal a sequential run's. *)
+    [int ref] increment on its code path; systhreads never switch in the
+    middle of one, so concurrent service workers lose no counts).  The
+    engine snapshots them around each trigger search to attribute probe
+    work to rules; the benchmarks diff them across planned/naive runs. *)
 module Stats : sig
   type snapshot = {
     probes : int;  (** index probes at a determined position *)
@@ -49,13 +47,6 @@ module Stats : sig
   val candidates_now : unit -> int
   (** The raw candidates counter — the engine's cheap per-trigger
       delta. *)
-
-  val local_candidates_now : unit -> int
-  (** This domain's share of [candidates].  A parallel matching event
-      runs entirely on one domain, so the domain-local delta around it
-      is its exact candidate count even while other domains match —
-      the engine reads it to attribute per-rule probe work in parallel
-      runs exactly as a single-domain run would. *)
 end
 
 (** {1 Matcher selection} *)

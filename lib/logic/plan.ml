@@ -26,22 +26,20 @@ type t = {
 }
 
 module Stats = struct
-  (* Always-on planning-effort counters, mirroring [Hom.Stats]: atomic,
-     because the parallel chase plans seeded bodies from several domains
-     at once and racing refs would under-count. *)
-  let plans = Atomic.make 0
-  let estimates = Atomic.make 0
+  (* Always-on planning-effort counters, mirroring [Hom.Stats]. *)
+  let plans = ref 0
+  let estimates = ref 0
 
   type snapshot = { plans : int; estimates : int }
 
-  let snapshot () = { plans = Atomic.get plans; estimates = Atomic.get estimates }
+  let snapshot () = { plans = !plans; estimates = !estimates }
 
   let diff (a : snapshot) (b : snapshot) =
     { plans = b.plans - a.plans; estimates = b.estimates - a.estimates }
 
   let reset () =
-    Atomic.set plans 0;
-    Atomic.set estimates 0
+    plans := 0;
+    estimates := 0
 end
 
 let order t = t.order
@@ -65,7 +63,7 @@ let is_permutation t =
 (** Smallest candidate-count estimate for [a] over its determined
     positions, given [bound] variables; [count_of_pred] if none. *)
 let estimate ?(bound = Util.Sset.empty) ins a =
-  Atomic.incr Stats.estimates;
+  incr Stats.estimates;
   let p = Atom.pred a in
   let full = Instance.count_of_pred ins p in
   let best = ref full in
@@ -90,7 +88,7 @@ let vars_of a = Atom.var_set a
 (* Greedy selection over the remaining atoms; [fixed] indices are already
    placed (the seeded pin).  O(n²) estimate calls, all O(1). *)
 let plan_greedy ~bound ins body_arr placed =
-  Atomic.incr Stats.plans;
+  incr Stats.plans;
   let n = Array.length body_arr in
   if n - List.length placed <= 1 then
     (* nothing to order: the permutation is forced *)

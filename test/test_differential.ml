@@ -1,18 +1,16 @@
 (** Differential oracle: the planned matcher against the naive reference,
-    and the multicore parallel chase against both.
+    and the relevance-pruned run against the unpruned one.
 
     The engine canonicalises trigger discovery (each discovery event's
-    homomorphisms are sorted before enqueueing, and the parallel plane
-    merges shard results back in canonical event order), so a chase run
-    depends only on the substitution {e sets} the matcher produces —
-    naive, planned, parallel and relevance-pruned runs must therefore be
-    literally identical, null stamps and all, not merely isomorphic
-    (pruning only skips discovery events that provably yield no
-    substitutions).  This suite pins that four ways on ~200 seeded
-    random rule sets across generator
-    profiles (varying arity, repeated body variables, constants in
-    bodies), for every chase variant and for 2- and 4-domain parallel
-    runs, and on the end-to-end [Decide] verdicts for a subset. *)
+    homomorphisms are sorted before enqueueing), so a chase run depends
+    only on the substitution {e sets} the matcher produces — naive,
+    planned and relevance-pruned runs must therefore be literally
+    identical, null stamps and all, not merely isomorphic (pruning only
+    skips discovery events that provably yield no substitutions).  This
+    suite pins that three ways on ~200 seeded random rule sets across
+    generator profiles (varying arity, repeated body variables, constants
+    in bodies), for every chase variant, and on the end-to-end [Decide]
+    verdicts for a subset. *)
 
 open Chase
 open Test_util
@@ -27,19 +25,11 @@ let with_pruning_off f =
   Fun.protect ~finally:(fun () -> Relevance.force_disable false) f
 
 (** Run the critical-instance chase under both matchers, plus the planned
-    matcher fanned across 2 and 4 domains, plus the planned matcher with
-    the trigger-relevance index disabled. *)
+    matcher with the trigger-relevance index disabled. *)
 let run_all ~variant ~budget rules =
   let db = Instance.to_list (Critical.of_rules ~standard:false rules) in
-  let go ?domains m =
-    with_matcher m (fun () -> chase ~variant ~budget ?domains rules db)
-  in
-  ( go Hom.Naive,
-    go Hom.Planned,
-    go ~domains:2 Hom.Planned,
-    go ~domains:4 Hom.Planned,
-    with_pruning_off (fun () -> go Hom.Planned) )
-
+  let go m = with_matcher m (fun () -> chase ~variant ~budget rules db) in
+  (go Hom.Naive, go Hom.Planned, with_pruning_off (fun () -> go Hom.Planned))
 
 let check_identical ctx (rn : Engine.result) (rp : Engine.result) =
   Alcotest.(check (list atom_testable))
@@ -71,13 +61,11 @@ let differential_family name gen ~seeds ~budget () =
     let rules = gen ~seed in
     List.iter
       (fun variant ->
-        let rn, rp, r2, r4, ru = run_all ~variant ~budget rules in
+        let rn, rp, ru = run_all ~variant ~budget rules in
         let ctx which =
           Fmt.str "%s seed %d %a [%s]" name seed Variant.pp variant which
         in
         check_identical (ctx "planned") rn rp;
-        check_identical (ctx "parallel@2") rn r2;
-        check_identical (ctx "parallel@4") rn r4;
         check_identical (ctx "unpruned") rn ru)
       variants
   done
@@ -115,34 +103,18 @@ let families =
   ]
 
 (* The end-to-end decision procedure must give the same verdict under
-   either matcher and under the parallel matching plane: its budgeted
-   chases are deterministic per matcher and matcher-independent by the
-   identity above, and parallel runs are bit-identical to sequential
-   ones.  [Decide] picks up the domain count from the process default,
-   so the parallel leg goes through [Parallel.set_domains] — exactly the
-   path the CLIs' [--domains] uses. *)
-let with_domains d f =
-  let saved = Parallel.default_domains () in
-  Parallel.set_domains d;
-  Fun.protect ~finally:(fun () -> Parallel.set_domains saved) f
-
+   either matcher: its budgeted chases are deterministic per matcher and
+   matcher-independent by the identity above. *)
 let decide_agreement () =
   let check_verdicts name rules =
-    let verdict ?domains m =
+    let verdict m =
       with_matcher m (fun () ->
-          let go () =
-            Verdict.answer_to_string
-              (Verdict.answer
-                 (Decide.check ~standard:false ~budget:2_000
-                    ~variant:Variant.Semi_oblivious rules))
-          in
-          match domains with Some d -> with_domains d go | None -> go ())
+          Verdict.answer_to_string
+            (Verdict.answer
+               (Decide.check ~standard:false ~budget:2_000
+                  ~variant:Variant.Semi_oblivious rules)))
     in
-    Alcotest.(check string) name (verdict Hom.Naive) (verdict Hom.Planned);
-    Alcotest.(check string)
-      (name ^ " [parallel@4]")
-      (verdict Hom.Naive)
-      (verdict ~domains:4 Hom.Planned)
+    Alcotest.(check string) name (verdict Hom.Naive) (verdict Hom.Planned)
   in
   for seed = 0 to 24 do
     check_verdicts
@@ -159,7 +131,7 @@ let exhausted_prefixes_agree () =
   let rules = parse "e(X, Y) -> e(Y, Z).  e(X, Y), e(Y, Z) -> e(X, Z)." in
   List.iter
     (fun variant ->
-      let rn, rp, r2, r4, ru = run_all ~variant ~budget:300 rules in
+      let rn, rp, ru = run_all ~variant ~budget:300 rules in
       (* the restricted chase terminates here (the critical instance
          already satisfies both heads); o and so exhaust the budget *)
       if variant <> Variant.Restricted then
@@ -167,10 +139,6 @@ let exhausted_prefixes_agree () =
           (Fmt.str "%a: exhausted" Variant.pp variant)
           true (exhausted rn);
       check_identical (Fmt.str "divergent %a" Variant.pp variant) rn rp;
-      check_identical (Fmt.str "divergent %a parallel@2" Variant.pp variant)
-        rn r2;
-      check_identical (Fmt.str "divergent %a parallel@4" Variant.pp variant)
-        rn r4;
       check_identical (Fmt.str "divergent %a unpruned" Variant.pp variant)
         rn ru)
     variants
@@ -179,16 +147,16 @@ let suite =
   List.map
     (fun (name, seeds, budget, gen) ->
       Alcotest.test_case
-        (Fmt.str "naive = planned = parallel@2,4: %s (%d seeds, all variants)"
+        (Fmt.str "naive = planned = unpruned: %s (%d seeds, all variants)"
            name seeds)
         `Slow
         (differential_family name gen ~seeds ~budget))
     families
   @ [
       Alcotest.test_case
-        "naive = planned = parallel: Decide verdicts (50 sets)" `Slow
+        "naive = planned: Decide verdicts (50 sets)" `Slow
         decide_agreement;
       Alcotest.test_case
-        "naive = planned = parallel: budget-truncated prefixes" `Quick
+        "naive = planned = unpruned: budget-truncated prefixes" `Quick
         exhausted_prefixes_agree;
     ]

@@ -171,6 +171,51 @@ let test_derivations_exact () =
         [ Variant.Oblivious; Variant.Semi_oblivious; Variant.Restricted ])
     sets
 
+(* The matcher counters are plain refs.  The service runs chases on
+   worker systhreads of one domain, which never switch inside an
+   increment, so concurrent runs must lose no counts: four copies of a
+   budgeted chase running at once cost exactly four solo runs. *)
+let test_stats_exact_under_threads () =
+  let rules = Families.guarded_divergent ~arity:3 in
+  let db = parse_facts "r(a, b, c). m(c)." in
+  let run () = chase ~budget:10_000 rules db in
+  let measure f =
+    let h0 = Hom.Stats.snapshot () and p0 = Plan.Stats.snapshot () in
+    f ();
+    (Hom.Stats.diff h0 (Hom.Stats.snapshot ()),
+     Plan.Stats.diff p0 (Plan.Stats.snapshot ()))
+  in
+  let solo = ref 0 in
+  let h1, p1 = measure (fun () -> solo := (run ()).Engine.triggers_applied) in
+  let n = 4 in
+  (* a barrier, so all four chases are live before any of them starts *)
+  let m = Mutex.create () and ready = Condition.create () and arrived = ref 0 in
+  let applied = Array.make n 0 in
+  let worker k =
+    Mutex.lock m;
+    incr arrived;
+    if !arrived = n then Condition.broadcast ready;
+    while !arrived < n do Condition.wait ready m done;
+    Mutex.unlock m;
+    applied.(k) <- (run ()).Engine.triggers_applied
+  in
+  let hn, pn =
+    measure (fun () ->
+        List.iter Thread.join (List.init n (Thread.create worker)))
+  in
+  Array.iter (Alcotest.(check int) "same run on every thread" !solo) applied;
+  let check what one all = Alcotest.(check int) what (n * one) all in
+  check "hom probes" h1.Hom.Stats.probes hn.Hom.Stats.probes;
+  check "hom full scans" h1.Hom.Stats.full_scans hn.Hom.Stats.full_scans;
+  check "hom candidates" h1.Hom.Stats.candidates hn.Hom.Stats.candidates;
+  check "hom matches" h1.Hom.Stats.matches hn.Hom.Stats.matches;
+  check "planned probe cost" h1.Hom.Stats.planned_probe_cost
+    hn.Hom.Stats.planned_probe_cost;
+  check "naive probe cost" h1.Hom.Stats.naive_probe_cost
+    hn.Hom.Stats.naive_probe_cost;
+  check "plans" p1.Plan.Stats.plans pn.Plan.Stats.plans;
+  check "estimates" p1.Plan.Stats.estimates pn.Plan.Stats.estimates
+
 (* ------------- budgets ------------- *)
 
 let test_budget_is_respected () =
@@ -371,6 +416,8 @@ let suite =
       test_provenance_parents_and_guard;
     Alcotest.test_case "lazily built derivations stay exact" `Quick
       test_derivations_exact;
+    Alcotest.test_case "matcher counters exact across threads" `Quick
+      test_stats_exact_under_threads;
     Alcotest.test_case "budgets respected" `Quick test_budget_is_respected;
     Alcotest.test_case "trigger budget: sound partial prefix" `Quick
       test_trigger_budget_breach;

@@ -15,7 +15,7 @@
       checked empirically over the same seeds;
     - {e pruning is invisible}: per-rule firing counters (and all run
       counters) are identical with the relevance index on and off, for
-      the planned, naive and parallel\@4 legs. *)
+      the planned and naive legs. *)
 
 open Chase
 open Test_util
@@ -250,7 +250,6 @@ let pruning_preserves_firings () =
             fun () ->
               with_matcher Hom.Naive (fun () -> chase ~budget:2_000 rules db)
           );
-          ("parallel@4", fun () -> chase ~budget:2_000 ~domains:4 rules db);
         ]
       in
       List.iter

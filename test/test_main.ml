@@ -15,7 +15,6 @@ let () =
       ("engine", Test_engine.suite);
       ("plan-props", Test_plan_props.suite);
       ("differential", Test_differential.suite);
-      ("parallel", Test_parallel.suite);
       ("metamorphic", Test_metamorphic.suite);
       ("faults", Test_faults.suite);
       ("persist", Test_persist.suite);

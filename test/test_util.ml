@@ -22,14 +22,12 @@ let crit_chase_terminates ?(standard = false) ?(budget = 10_000) variant rules =
   result.Engine.status = Engine.Terminated
 
 (** Run the chase on an explicit database; [limits] overrides the
-    budget-derived defaults, [domains] selects the multicore matching
-    plane. *)
-let chase ?(variant = Variant.Oblivious) ?(budget = 10_000) ?limits ?domains
-    rules db =
+    budget-derived defaults. *)
+let chase ?(variant = Variant.Oblivious) ?(budget = 10_000) ?limits rules db =
   let limits =
     match limits with Some l -> l | None -> Limits.of_budget budget
   in
-  Engine.run ~config:{ Engine.variant; limits } ?domains rules db
+  Engine.run ~config:{ Engine.variant; limits } rules db
 
 (** True iff the run stopped on a breached limit. *)
 let exhausted (result : Engine.result) = Engine.exhausted result
