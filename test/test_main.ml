@@ -15,6 +15,7 @@ let () =
       ("engine", Test_engine.suite);
       ("plan-props", Test_plan_props.suite);
       ("differential", Test_differential.suite);
+      ("concurrency", Test_concurrency.suite);
       ("metamorphic", Test_metamorphic.suite);
       ("faults", Test_faults.suite);
       ("persist", Test_persist.suite);
