@@ -970,151 +970,6 @@ let e14 quick =
   List.iter rm_rf [ a; b; ship; spool_p; spool_s; metrics ]
 
 (* ------------------------------------------------------------------ *)
-(* E16 — static trigger-relevance pruning: fewer enqueues, same run    *)
-(* ------------------------------------------------------------------ *)
-
-let read_corpus name =
-  (* cwd differs between `dune exec` from the root and sandboxed runs *)
-  let candidates =
-    [ Filename.concat "data" name; Filename.concat "../data" name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | None -> None
-  | Some path ->
-    let ic = open_in_bin path in
-    let src =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    (match Parser.parse_program src with
-    | Ok (rules, facts) -> Some (rules, facts)
-    | Error _ -> None)
-
-let e16 quick =
-  section "E16  Trigger-relevance pruning: fewer enqueues, identical runs";
-  let wall_avg ?(reps = if quick then 1 else 3) f =
-    let total = ref 0.0 in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      total := !total +. (Unix.gettimeofday () -. t0)
-    done;
-    !total /. float_of_int reps
-  in
-  let same_run a b =
-    a.Engine.triggers_applied = b.Engine.triggers_applied
-    && a.Engine.nulls_created = b.Engine.nulls_created
-    && List.equal Atom.equal
-         (Instance.to_sorted_list a.Engine.instance)
-         (Instance.to_sorted_list b.Engine.instance)
-  in
-  let without_pruning f =
-    Relevance.force_disable true;
-    Fun.protect ~finally:(fun () -> Relevance.force_disable false) f
-  in
-  (* One observed run per leg: chase.prune.considered counts every
-     (new fact, rule) pair the delta sweep looked at, enqueues_skipped
-     the ones the index proved empty — enqueued = considered - skipped.
-     With pruning disabled nothing is skipped, so the unpruned leg's
-     enqueue count doubles as the baseline. *)
-  let observed ~config rules db =
-    let obs = Obs.create [] in
-    let r = Engine.run ~config ~obs rules db in
-    let m = Obs.metrics obs in
-    ( r,
-      Metrics.counter_value m "chase.prune.considered",
-      Metrics.counter_value m "chase.prune.enqueues_skipped" )
-  in
-  let all_agree = ref true and all_fewer = ref true in
-  let bench name rules db config =
-    let on = ref None and off = ref None in
-    let t_on =
-      wall_avg (fun () ->
-          let r, c, s = observed ~config rules db in
-          on := Some (r, c, s);
-          r)
-    in
-    let t_off =
-      without_pruning (fun () ->
-          wall_avg (fun () ->
-              let r, c, s = observed ~config rules db in
-              off := Some (r, c, s);
-              r))
-    in
-    let r1, c1, s1 = Option.get !on in
-    let r0, c0, _ = Option.get !off in
-    let enq_on = c1 - s1 and enq_off = c0 in
-    let agree = same_run r1 r0 in
-    let hit =
-      if c1 = 0 then 100.0
-      else 100.0 *. float_of_int enq_on /. float_of_int c1
-    in
-    if not agree then all_agree := false;
-    if enq_on >= enq_off then all_fewer := false;
-    Fmt.pr "%-14s %9d %9d %7.1f%% %6b %a %a@." name enq_on enq_off hit agree
-      pp_time t_on pp_time t_off;
-    record "E16" (Fmt.str "enqueues_pruned[%s]" name) (jint enq_on);
-    record "E16" (Fmt.str "enqueues_unpruned[%s]" name) (jint enq_off);
-    record "E16" (Fmt.str "skipped[%s]" name) (jint s1);
-    record "E16" (Fmt.str "agree[%s]" name) (jbool agree);
-    record "E16" (Fmt.str "pruned_seconds[%s]" name) (jfloat t_on);
-    record "E16" (Fmt.str "unpruned_seconds[%s]" name) (jfloat t_off)
-  in
-  Fmt.pr "%-14s %9s %9s %8s %6s %11s %11s@." "workload" "enq(on)" "enq(off)"
-    "kept" "agree" "wall(on)" "wall(off)";
-  hr ();
-  (* A long richly-acyclic chain: each delta fact can seed exactly one
-     rule, so the index skips almost the whole per-delta sweep. *)
-  let n = if quick then 24 else 48 in
-  let chain = Families.sl_chain n in
-  bench
-    (Fmt.str "chain[%d]" n)
-    chain
-    (Instance.to_list (Critical.of_rules ~standard:false chain))
-    {
-      Engine.variant = Variant.Oblivious;
-      limits = Limits.of_budget 100_000;
-    };
-  (* The E12 star join: a single wide rule, but the out-facts it
-     derives can never re-seed its own body. *)
-  let width = if quick then 6 else 8 in
-  let hubs = if quick then 1_200 else 2_500 in
-  bench "wide-body"
-    (Families.wide_body ~width)
-    (Families.wide_body_db ~hubs ~fanout:3)
-    {
-      Engine.variant = Variant.Oblivious;
-      limits = Limits.make ~max_triggers:200_000 ~max_atoms:800_000 ();
-    };
-  (* The shipped corpus, rules + database, including a divergent file
-     chased to its trigger budget. *)
-  List.iter
-    (fun (file, budget) ->
-      match read_corpus file with
-      | None -> Fmt.pr "corpus file %s not found: skipping@." file
-      | Some (rules, facts) ->
-        (* rules-only corpus files chase their critical instance *)
-        let db =
-          if facts = [] then
-            Instance.to_list (Critical.of_rules ~standard:false rules)
-          else facts
-        in
-        bench (Filename.remove_extension file) rules db
-          {
-            Engine.variant = Variant.Semi_oblivious;
-            limits = Limits.of_budget budget;
-          })
-    [
-      ("company_mapping.chase", 50_000);
-      ("divergent_zoo.chase", (if quick then 6_000 else 20_000));
-    ];
-  Fmt.pr "@.pruned ≡ unpruned everywhere: %b   strictly fewer enqueues: %b@."
-    !all_agree !all_fewer;
-  record "E16" "all_agree" (jbool !all_agree);
-  record "E16" "strictly_fewer_enqueues" (jbool !all_fewer)
-
-(* ------------------------------------------------------------------ *)
 (* E17 — request tracing: overhead in the noise, spans complete        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1337,7 +1192,6 @@ let () =
   e12 quick;
   e13 quick;
   e14 quick;
-  e16 quick;
   e17 quick;
   microbenches ();
   record "harness" "quick" (jbool quick);

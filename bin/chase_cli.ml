@@ -57,11 +57,9 @@ let variant_conv =
    with the service daemon; this executable only parses argv and reads
    the file. *)
 let run file variant budget max_atoms timeout progress critical standard quiet
-    naive no_prune journal snapshot_every journal_sync resume lint
+    journal snapshot_every journal_sync resume lint
     trace metrics flight profile =
-  if naive then Hom.set_matcher Hom.Naive;
   (match flight with Some _ as path -> Flight.configure ~path | None -> ());
-  if no_prune then Relevance.force_disable true;
   match read_file file with
   | Error msg ->
     Fmt.epr "error: cannot read input: %s@." msg;
@@ -121,22 +119,6 @@ let standard_arg =
 
 let quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only print run statistics.")
-
-let naive_arg =
-  Arg.(value & flag
-       & info [ "naive" ]
-           ~doc:"Use the naive left-to-right body matcher (the reference \
-                 semantics) instead of the join-planned one.  Equivalent \
-                 to setting CHASE_NAIVE=1.")
-
-let no_prune_arg =
-  Arg.(value & flag
-       & info [ "no-prune" ]
-           ~doc:"Disable the static trigger-relevance index: sweep every \
-                 rule on every added fact, as the engine did before \
-                 pruning.  Bit-identical to the pruned run (the index \
-                 only skips provably empty matches).  Equivalent to \
-                 setting CHASE_NO_PRUNE=1.")
 
 let journal_arg =
   Arg.(value & opt (some string) None
@@ -211,7 +193,7 @@ let cmd =
     Cmdliner.Term.(
       const run $ file_arg $ variant_arg $ budget_arg $ max_atoms_arg
       $ timeout_arg $ progress_arg $ critical_arg $ standard_arg $ quiet_arg
-      $ naive_arg $ no_prune_arg $ journal_arg $ snapshot_every_arg
+      $ journal_arg $ snapshot_every_arg
       $ journal_sync_arg $ resume_arg $ lint_arg $ trace_arg $ metrics_arg
       $ flight_arg $ profile_arg)
 

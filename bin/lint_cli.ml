@@ -63,8 +63,7 @@ let lint_file ~format ~explain ~analyze ~standard ~budget file =
     Driver.lint_one o ~file ~src ~out:Format.std_formatter
       ~err:Format.err_formatter
 
-let run files format explain analyze budget standard naive =
-  if naive then Hom.set_matcher Hom.Naive;
+let run files format explain analyze budget standard =
   List.fold_left
     (fun acc file ->
       max acc (lint_file ~format ~explain ~analyze ~standard ~budget file))
@@ -108,18 +107,12 @@ let standard_arg =
            ~doc:"Explain over standard databases (constants 0 and 1 \
                  available).")
 
-let naive_arg =
-  Arg.(value & flag
-       & info [ "naive" ]
-           ~doc:"Use the naive left-to-right body matcher for the explain \
-                 battery.  Equivalent to setting CHASE_NAIVE=1.")
-
 let cmd =
   let doc = "static diagnostics for TGD rule sets, with witnesses" in
   Cmd.v
     (Cmd.info "chase-lint" ~doc)
     Cmdliner.Term.(
       const run $ files_arg $ format_arg $ explain_arg $ analyze_arg
-      $ budget_arg $ standard_arg $ naive_arg)
+      $ budget_arg $ standard_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -46,10 +46,8 @@ let variant_conv =
 (* The whole run lives in {!Chase.Driver.decide}, shared byte-for-byte
    with the service daemon; this executable only parses argv and reads
    the file. *)
-let run file variant budget standard timeout progress naive no_prune
-    report lint trace metrics profile =
-  if naive then Hom.set_matcher Hom.Naive;
-  if no_prune then Relevance.force_disable true;
+let run file variant budget standard timeout progress report lint trace
+    metrics profile =
   match read_file file with
   | Error msg ->
     Fmt.epr "error: cannot read input: %s@." msg;
@@ -95,20 +93,6 @@ let progress_arg =
            ~doc:"Stream periodic watchdog snapshots of the chase \
                  simulation on stderr.")
 
-let naive_arg =
-  Arg.(value & flag
-       & info [ "naive" ]
-           ~doc:"Use the naive left-to-right body matcher (the reference \
-                 semantics) for every budgeted chase instead of the \
-                 join-planned one.  Equivalent to setting CHASE_NAIVE=1.")
-
-let no_prune_arg =
-  Arg.(value & flag
-       & info [ "no-prune" ]
-           ~doc:"Disable the static trigger-relevance index in every \
-                 budgeted chase.  Bit-identical to the pruned run.  \
-                 Equivalent to setting CHASE_NO_PRUNE=1.")
-
 let report_arg =
   Arg.(value & flag
        & info [ "report" ]
@@ -147,7 +131,6 @@ let cmd =
     (Cmd.info "chase-termination" ~doc)
     Cmdliner.Term.(
       const run $ file_arg $ variant_arg $ budget_arg $ standard_arg
-      $ timeout_arg $ progress_arg $ naive_arg $ no_prune_arg
-      $ report_arg $ lint_arg $ trace_arg $ metrics_arg $ profile_arg)
+      $ timeout_arg $ progress_arg $ report_arg $ lint_arg $ trace_arg $ metrics_arg $ profile_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -1,13 +1,11 @@
 (** Σ-flow: the shared position-dataflow substrate over rule sets.
 
-    One analysis framework, three consumers (DESIGN.md §3.11):
+    One analysis framework, two consumers (DESIGN.md §3.11):
 
     - the {e termination} layer builds super-weak acyclicity
       ({!Chase_acyclicity.Super_weak}) and safe stratification
       ({!Chase_strata.Strata}) on top of it;
-    - the {e lint} layer renders its summary through [lint --analyze];
-    - the {e engine} consumes the same may-trigger idea in its
-      trigger-relevance index ({!Chase_engine.Relevance}).
+    - the {e lint} layer renders its summary through [lint --analyze].
 
     The framework computes, for a rule set Σ:
 

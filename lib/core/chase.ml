@@ -13,7 +13,7 @@
     - classes: {!Classify};
     - acyclicity: {!Digraph}, {!Dep_graph}, {!Weak}, {!Rich},
       {!Super_weak}, {!Critical_linear};
-    - position dataflow (Σ-flow): {!Flow}, {!Strata}, {!Relevance};
+    - position dataflow (Σ-flow): {!Flow}, {!Strata};
     - termination procedures: {!Verdict}, {!Sl}, {!Linear}, {!Guarded},
       {!Simulation}, {!Decide};
     - static diagnostics (Σ-lint): {!Diagnostic}, {!Schema_check},
@@ -94,7 +94,6 @@ module Critical_linear = Chase_acyclicity.Critical_linear
 (* Position dataflow (Σ-flow) *)
 module Flow = Chase_flow.Flow
 module Strata = Chase_strata.Strata
-module Relevance = Chase_engine.Relevance
 
 (* Termination procedures *)
 module Verdict = Chase_termination.Verdict

@@ -123,20 +123,20 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
   (* Triggers are slot arrays over rules compiled once per run (DESIGN.md
      §3.1); a substitution is built only where one is consumed. *)
   let compiled = Array.mapi Trigger.compile rules in
-  (* Static trigger-relevance (DESIGN.md §3.11): the delta sweep only
-     visits rules whose bodies could match the added fact.  Skipped
-     (rule, fact) events are provably empty, so pruned runs are
-     bit-identical to unpruned ones ([CHASE_NO_PRUNE=1] switches the
-     index off; the differential suite compares the two). *)
-  let relevance = Relevance.build rules in
-  let prune_considered = ref 0 in
-  let prune_skipped = ref 0 in
+  (* The delta sweep visits only the rules whose bodies mention the added
+     fact's predicate, in ascending index order.  Any other rule has no
+     body atom the fact could be pinned to, so [Hom.iter_seeded] would
+     yield nothing for it. *)
+  let rules_by_pred = Hashtbl.create 64 in
+  for i = Array.length rules - 1 downto 0 do
+    List.iter
+      (fun p ->
+        let prev = Option.value ~default:[] (Hashtbl.find_opt rules_by_pred p) in
+        Hashtbl.replace rules_by_pred p (i :: prev))
+      (List.sort_uniq String.compare (List.map Atom.pred (Tgd.body rules.(i))))
+  done;
   let sweep fact =
-    let rel = Relevance.relevant relevance fact in
-    let nr = Array.length rules in
-    prune_considered := !prune_considered + nr;
-    prune_skipped := !prune_skipped + nr - List.length rel;
-    rel
+    Option.value ~default:[] (Hashtbl.find_opt rules_by_pred (Atom.pred fact))
   in
   let tracked = Obs.enabled obs in
   let instance = Instance.create () in
@@ -247,15 +247,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
           ("db", Chase_obs.Jsonv.Int (List.length db));
         ];
   Obs.span_begin obs "seed";
-  (* Discovery runs stratum-ordered (producers before consumers — the
-     warmest access pattern for the instance indexes), but over a frozen
-     instance the order cannot change what is found; enqueueing stays in
-     plain rule-index order, so the worklist is identical to an unordered
-     seed. *)
-  let found = Array.make (Array.length rules) [] in
-  Array.iter
-    (fun i -> found.(i) <- discover_all_for_rule i)
-    (Relevance.seed_order relevance);
+  let found = Array.init (Array.length rules) discover_all_for_rule in
   Array.iteri enqueue_found found;
   Obs.span_end obs "seed";
   let apply tr =
@@ -394,12 +386,6 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
     Obs.incr obs ~by:dh.Hom.Stats.naive_probe_cost "chase.hom.naive_probe_cost";
     Obs.incr obs ~by:dp.Plan.Stats.plans "chase.plan.plans";
     Obs.incr obs ~by:dp.Plan.Stats.estimates "chase.plan.estimates";
-    Obs.incr obs ~by:!prune_considered "chase.prune.considered";
-    Obs.incr obs ~by:!prune_skipped "chase.prune.enqueues_skipped";
-    if !prune_considered > 0 then
-      Obs.set_gauge obs "chase.prune.hit_rate"
-        (float_of_int (!prune_considered - !prune_skipped)
-        /. float_of_int !prune_considered);
     Obs.set_gauge obs "chase.instance.facts"
       (float_of_int (Instance.cardinal instance));
     Obs.set_gauge obs "chase.queue.residual"

@@ -112,7 +112,12 @@ val run :
     reduces every instrumentation point to a flag test.
 
     Trigger discovery is sequential: the seed sweep and the per-fact
-    delta sweep run on the calling thread. *)
+    delta sweep run on the calling thread.  The delta sweep for a new
+    fact visits, in ascending index order, exactly the rules whose
+    bodies mention the fact's predicate.  No option or environment
+    variable changes how triggers are found; only
+    {!Chase_logic.Hom.set_matcher} does, the hook through which the
+    differential tests run the naive reference. *)
 
 val depth_of : result -> Atom.t -> int
 (** Chase depth of a fact; database facts have depth 0. *)

@@ -14,8 +14,7 @@
     this); only the enumeration order and the work done differ.  The
     top-level entry points ({!iter}, {!iter_seeded}, {!all}, {!exists},
     {!find}) dispatch on the process-wide {!matcher} selection: planned
-    by default, naive when the environment variable [CHASE_NAIVE] is set
-    (or {!set_matcher} was called — the CLIs' [--naive]). *)
+    unless {!set_matcher} selected the naive reference. *)
 
 (** [match_atom sub pat fact] extends [sub] so that [sub pat = fact];
     [None] if impossible. *)
@@ -106,22 +105,10 @@ end
 
 type matcher = Planned | Naive
 
-(* Read eagerly at module initialisation, not lazily: the service's
-   worker threads call [matcher ()] concurrently, and a thread switch
-   while one of them forces a lazy makes the other's force raise
-   [CamlinternalLazy.Undefined].  The environment cannot change the
-   selection mid-process anyway. *)
-let matcher_of_env =
-  match Sys.getenv_opt "CHASE_NAIVE" with
-  | Some ("1" | "true" | "yes" | "on") -> Naive
-  | Some _ | None -> Planned
+let selected = ref Planned
 
-let selected : matcher option ref = ref None
-
-let set_matcher m = selected := Some m
-
-let matcher () =
-  match !selected with Some m -> m | None -> matcher_of_env
+let set_matcher m = selected := m
+let matcher () = !selected
 
 (* ------------------------------------------------------------------ *)
 (* The naive reference matcher (left-to-right, first bound position)   *)

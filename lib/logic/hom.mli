@@ -5,9 +5,8 @@
     normative semantics) and the {b planned} matcher, which follows a
     selectivity-ordered {!Plan} and probes the smallest index at every
     step.  Both produce the same substitution {e set}; the top-level
-    entry points dispatch on {!matcher} — planned by default, naive when
-    the [CHASE_NAIVE] environment variable is set or {!set_matcher} was
-    called (the CLIs' [--naive] flag).
+    entry points dispatch on {!matcher}, which is planned unless the
+    naive reference was selected with {!set_matcher}.
 
     All searches extend an optional initial substitution, which is how
     frontier-restricted matching (restricted chase satisfaction,
@@ -56,13 +55,11 @@ type matcher =
   | Naive  (** left-to-right reference implementation *)
 
 val matcher : unit -> matcher
-(** The active matcher: the value forced by {!set_matcher} if any,
-    otherwise [Naive] when the environment variable [CHASE_NAIVE] is
-    [1]/[true]/[yes]/[on], otherwise [Planned]. *)
+(** The active matcher: [Planned] unless {!set_matcher} chose another. *)
 
 val set_matcher : matcher -> unit
-(** Process-wide override, used by the CLIs' [--naive] and the
-    differential test harness. *)
+(** Process-wide override: the hook through which the differential tests
+    and the experiment harness run the naive reference. *)
 
 (** {1 Dispatching entry points} *)
 

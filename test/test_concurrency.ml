@@ -152,11 +152,6 @@ let reruns_identical () =
       Variant.all
   done
 
-let with_matcher m f =
-  let saved = Hom.matcher () in
-  Hom.set_matcher m;
-  Fun.protect ~finally:(fun () -> Hom.set_matcher saved) f
-
 (* The naive reference matcher on concurrent threads still reproduces the
    planned solo run, null stamps and all. *)
 let naive_threads_equal_planned_solo () =

@@ -1,9 +1,8 @@
 (** The Σ-flow framework and its consumers.
 
-    Three layers under test: the position-dataflow substrate ({!Flow} —
-    affected positions, may-trigger edges, strata), the two new
-    termination conditions built on it ({!Super_weak}, {!Strata}), and
-    the engine's static trigger-relevance pruning ({!Relevance}).
+    Two layers under test: the position-dataflow substrate ({!Flow} —
+    affected positions, may-trigger edges, strata) and the two
+    termination conditions built on it ({!Super_weak}, {!Strata}).
 
     The load-bearing batteries:
 
@@ -12,22 +11,10 @@
       exact guarded decision procedure — a claim against a [Diverges]
       verdict would be a soundness bug, not a precision gap;
     - {e lattice inclusions}: weak ⊆ super-weak and joint ⊆ super-weak,
-      checked empirically over the same seeds;
-    - {e pruning is invisible}: per-rule firing counters (and all run
-      counters) are identical with the relevance index on and off, for
-      the planned and naive legs. *)
+      checked empirically over the same seeds. *)
 
 open Chase
 open Test_util
-
-let with_pruning_off f =
-  Relevance.force_disable true;
-  Fun.protect ~finally:(fun () -> Relevance.force_disable false) f
-
-let with_matcher m f =
-  let saved = Hom.matcher () in
-  Hom.set_matcher m;
-  Fun.protect ~finally:(fun () -> Hom.set_matcher saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Flow substrate                                                      *)
@@ -213,93 +200,6 @@ let soundness_oracle () =
         (diverges Variant.Semi_oblivious)
   done
 
-(* ------------------------------------------------------------------ *)
-(* Pruning is invisible                                                *)
-(* ------------------------------------------------------------------ *)
-
-let check_firings_equal ctx (a : Engine.result) (b : Engine.result) =
-  Alcotest.(check (list (pair string int)))
-    (ctx ^ ": per-rule firings") a.Engine.rule_firings b.Engine.rule_firings;
-  Alcotest.(check int)
-    (ctx ^ ": triggers applied") a.Engine.triggers_applied
-    b.Engine.triggers_applied;
-  Alcotest.(check (list atom_testable))
-    (ctx ^ ": final instance") (sorted_facts a) (sorted_facts b)
-
-let pruning_preserves_firings () =
-  let rules_of_program name =
-    match Parser.parse_program (read_data name) with
-    | Ok (rules, _facts) -> rules
-    | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
-  in
-  let corpora =
-    [
-      ("company", rules_of_program "company_mapping.chase");
-      ("divergent-zoo", rules_of_program "divergent_zoo.chase");
-      ("guarded seed 3", Random_tgds.guarded ~seed:3 ());
-      ("guarded seed 17", Random_tgds.guarded ~seed:17 ());
-    ]
-  in
-  List.iter
-    (fun (name, rules) ->
-      let db = Instance.to_list (Critical.of_rules ~standard:false rules) in
-      let legs =
-        [
-          ("planned", fun () -> chase ~budget:2_000 rules db);
-          ( "naive",
-            fun () ->
-              with_matcher Hom.Naive (fun () -> chase ~budget:2_000 rules db)
-          );
-        ]
-      in
-      List.iter
-        (fun (leg, go) ->
-          let pruned = go () in
-          let unpruned = with_pruning_off go in
-          check_firings_equal (Fmt.str "%s [%s]" name leg) pruned unpruned)
-        legs)
-    corpora
-
-let relevance_unit () =
-  let rules = Array.of_list (parse "p(X) -> q(X, Y).  q(X, Y) -> r(Y).") in
-  let t = Relevance.build rules in
-  (* the pruning-behaviour pins only hold when the environment hasn't
-     disabled the index (make check-pruned runs with CHASE_NO_PRUNE=1) *)
-  if Relevance.enabled t then begin
-    Alcotest.(check (list int))
-      "p fact concerns rule 0 only" [ 0 ]
-      (Relevance.relevant t (fact "p(a)"));
-    Alcotest.(check (list int))
-      "q fact concerns rule 1 only" [ 1 ]
-      (Relevance.relevant t (fact "q(a, b)"));
-    Alcotest.(check (list int))
-      "r fact concerns nobody" []
-      (Relevance.relevant t (fact "r(a)"));
-    (* Constant compatibility, not just predicate overlap. *)
-    let t2 = Relevance.build (Array.of_list (parse "p(a, X) -> q(X).")) in
-    Alcotest.(check (list int))
-      "constant-compatible fact passes" [ 0 ]
-      (Relevance.relevant t2 (fact "p(a, x)"));
-    Alcotest.(check (list int))
-      "constant-incompatible fact pruned" []
-      (Relevance.relevant t2 (fact "p(b, x)"))
-  end;
-  with_pruning_off (fun () ->
-      let t3 = Relevance.build rules in
-      Alcotest.(check (list int))
-        "disabled index returns every rule" [ 0; 1 ]
-        (Relevance.relevant t3 (fact "r(a)")))
-
-let seed_order_is_permutation () =
-  for seed = 0 to 19 do
-    let rules = Array.of_list (Random_tgds.guarded ~seed ()) in
-    let order = Relevance.seed_order (Relevance.build rules) in
-    Alcotest.(check (list int))
-      (Fmt.str "seed %d: permutation of 0..%d" seed (Array.length rules - 1))
-      (List.init (Array.length rules) Fun.id)
-      (List.sort Int.compare (Array.to_list order))
-  done
-
 let suite =
   [
     Alcotest.test_case "flow: affected positions" `Quick flow_affected;
@@ -316,9 +216,4 @@ let suite =
       decide_uses_new_conditions;
     Alcotest.test_case "soundness oracle: 100 guarded seeds" `Slow
       soundness_oracle;
-    Alcotest.test_case "pruning: firings unchanged (3 legs)" `Slow
-      pruning_preserves_firings;
-    Alcotest.test_case "relevance: index unit tests" `Quick relevance_unit;
-    Alcotest.test_case "relevance: seed order is a permutation" `Quick
-      seed_order_is_permutation;
   ]

@@ -10,11 +10,6 @@
 open Chase
 open Test_util
 
-let with_matcher m f =
-  let saved = Hom.matcher () in
-  Hom.set_matcher m;
-  Fun.protect ~finally:(fun () -> Hom.set_matcher saved) f
-
 (* ------------------------------------------------------------------ *)
 (* Transformations                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -233,11 +233,6 @@ let quantile_bound_fuzz =
 (* Counter determinism: planned vs naive                               *)
 (* ------------------------------------------------------------------ *)
 
-let with_matcher m f =
-  let saved = Hom.matcher () in
-  Hom.set_matcher m;
-  Fun.protect ~finally:(fun () -> Hom.set_matcher saved) f
-
 let observed_counters matcher rules db =
   with_matcher matcher (fun () ->
       let metrics = Metrics.create () in

@@ -41,20 +41,28 @@ let exhaustion_exn (result : Engine.result) =
 
 let sorted_facts result = Instance.to_sorted_list result.Engine.instance
 
-(** Read a rule corpus file from data/. *)
-let read_data name =
+(** Read a shipped program: a corpus file from data/, or from [dir]. *)
+let read_data ?(dir = "data") name =
   (* cwd differs between `dune runtest` (test dir) and `dune exec` (root) *)
   let candidates =
-    [ Filename.concat "../data" name; Filename.concat "data" name;
-      Filename.concat "../../data" name ]
+    List.map
+      (fun root -> Filename.concat (Filename.concat root dir) name)
+      [ ".."; "."; "../.." ]
   in
   match List.find_opt Sys.file_exists candidates with
-  | None -> Alcotest.fail ("data file not found: " ^ name)
+  | None -> Alcotest.fail ("data file not found: " ^ Filename.concat dir name)
   | Some path ->
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
+
+(** Run [f] with the process-wide matcher set to [m], restoring the
+    previous one afterwards. *)
+let with_matcher m f =
+  let saved = Hom.matcher () in
+  Hom.set_matcher m;
+  Fun.protect ~finally:(fun () -> Hom.set_matcher saved) f
 
 (** Compare instance contents up to null renaming: both embed in each
     other via constant-fixing homomorphisms. *)
