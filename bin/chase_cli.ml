@@ -17,10 +17,14 @@
     checksummed record per trigger application to a write-ahead journal
     (fsync cadence [--journal-sync]), with an atomic snapshot of the full
     history every [--snapshot-every] records at [FILE.snap].  After a
-    kill, crash or breached limit, [--resume FILE] restores the run from
-    the latest valid snapshot plus the journal tail — truncating a torn
-    tail rather than failing — revalidates it, and continues the chase
-    (and the journal) exactly where it stopped.
+    kill, crash or breached limit, [--resume FILE] reads the journal (or
+    the snapshot, when it is ahead) — ignoring a torn tail rather than
+    failing — and runs the chase again from step zero, checking each
+    step against the journaled record and appending only past the
+    journal's end.  The chase is deterministic, so the resumed run
+    prints exactly what an uninterrupted run with the same options
+    prints.  The re-run is a run like any other: its limits, the
+    [--timeout] window included, count from step zero.
 
     The run is observable on request: [--trace FILE] writes a Chrome
     trace-event file of the run's spans (load it in Perfetto or
@@ -145,11 +149,18 @@ let resume_arg =
   Arg.(value & opt (some string) None
        & info [ "resume" ] ~docv:"FILE"
            ~doc:"Resume an interrupted run from journal $(docv) (and \
-                 $(docv).snap when present): restore the latest valid \
-                 state, truncate any torn tail, revalidate the restored \
-                 provenance, and continue the chase and the journal where \
-                 they stopped.  The program file must be the one the \
-                 journal was written for.")
+                 $(docv).snap when present): run the chase again from \
+                 step zero, checking every step against the journaled one \
+                 and appending only past the journal's end (a torn tail \
+                 is cut off first).  The output is the uninterrupted \
+                 run's.  A step that differs from its record, or a run \
+                 that terminates before the journal's end, refuses the \
+                 resume (exit 2) and leaves $(docv) unchanged.  The \
+                 re-run counts against $(b,--budget) and $(b,--timeout): \
+                 a run that needs more than its $(b,--timeout) in total \
+                 cannot be finished by resuming it under the same \
+                 deadline.  The program file must be the one the journal \
+                 was written for.")
 
 let lint_arg =
   Arg.(value & flag

@@ -19,7 +19,7 @@
     durable state to the standby receiver listening on SOCK, blocking
     each durable acknowledgement for up to [--sync-timeout] until the
     standby confirms; [--standby-of SOCK] makes it a standby that
-    binds SOCK, soaks up the primary's state, continuously re-certifies
+    binds SOCK, soaks up the primary's state, continuously certifies
     it, and serves control ops only until a [promote] request turns it
     into an ordinary primary via boot recovery.
 

@@ -66,32 +66,7 @@ let depth_in provenance a =
 
 let depth_of result a = depth_in result.provenance a
 
-(** A restored mid-run state, produced by [Chase_persist.Recovery] from a
-    write-ahead journal (plus an optional snapshot).  [run ~resume] picks
-    the chase up exactly where the recorded run stopped: the instance,
-    the per-fact provenance, the null and step counters and — crucially —
-    the set of already-applied triggers are all reinstated, so no trigger
-    fires twice and fresh nulls continue from the restored stamp. *)
-type resume = {
-  facts : Atom.t list;
-      (** full restored instance: the database plus every journaled
-          creation *)
-  derivations : (Atom.t * Derivation.t) list;
-      (** provenance of every restored non-database fact *)
-  applied : (int * Subst.t) list;
-      (** applied triggers (rule index, full body homomorphism), in step
-          order — reinstated into the dedup set so none re-fires *)
-  applied_count : int;  (** [List.length applied], carried so that
-      resume-heavy paths never re-walk the list *)
-  created_count : int;  (** [List.length derivations], ditto *)
-  next_null : int;  (** highest null stamp used so far *)
-  next_step : int;  (** last step number used so far *)
-  skipped : int;
-      (** restricted chase: triggers found satisfied before the crash
-          (skips are not journaled; 0 when unknown) *)
-}
-
-(** [run ?config ?resume ?on_trigger ?watchdog rules db] chases the facts
+(** [run ?config ?on_trigger ?watchdog rules db] chases the facts
     [db] with [rules].
 
     The input list [db] is not mutated; the result instance is fresh.
@@ -100,16 +75,16 @@ type resume = {
     result instance is the (finite) chase result, a universal model of the
     database and the rules.
 
-    [resume] restores a recovered mid-run state before the worklist is
-    seeded (see {!resume}); counters restart from the restored values, so
-    a trigger budget spans the original run and the resumed one.
-
     [on_trigger] is invoked after every trigger application with the step
     number, the rule (and its index), the full body homomorphism, the
     derivation depth, the stamps of the nulls invented by the application
     and the facts it actually added (possibly none, under set semantics) —
-    the hook behind {!Sequence} and the write-ahead journal.  [watchdog]
-    receives periodic progress snapshots (see {!Watchdog}).
+    the hook behind {!Sequence} and the write-ahead journal; an exception
+    it raises ends the run and propagates.  [watchdog] receives periodic
+    progress snapshots (see {!Watchdog}).
+
+    The run is deterministic, so a resume re-runs it from step zero and
+    checks each step against the journal ([Chase_persist.Recovery]).
 
     [obs] streams structured telemetry (see {!Chase_obs.Obs}): a [chase]
     span over the whole run with per-trigger child spans, periodic
@@ -117,8 +92,8 @@ type resume = {
     plus per-rule firings/nulls/probes/time breakdowns.  The default
     {!Obs.disabled} reduces every instrumentation point to one flag
     test. *)
-let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
-    ?watchdog rules db =
+let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
+    rules db =
   let rules = Array.of_list rules in
   (* Triggers are slot arrays over rules compiled once per run (DESIGN.md
      §3.1); a substitution is built only where one is consumed. *)
@@ -156,43 +131,12 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
   let triggers_skipped = ref 0 in
   let atoms_created = ref 0 in
   let max_depth = ref 0 in
-  let step_counter = ref 0 in
-  (match resume with
-  | None -> ()
-  | Some r ->
-    List.iter (fun a -> ignore (Instance.add instance a)) r.facts;
-    List.iter (fun (a, d) -> Atom.Tbl.replace provenance a d) r.derivations;
-    null_counter := r.next_null;
-    step_counter := r.next_step;
-    triggers_applied := r.applied_count;
-    triggers_skipped := r.skipped;
-    atoms_created := r.created_count;
-    max_depth :=
-      List.fold_left
-        (fun m (_, d) -> max m d.Derivation.depth)
-        0 r.derivations;
-    List.iter
-      (fun (i, sub) ->
-        if i >= 0 && i < Array.length rules then begin
-          firings.(i) <- firings.(i) + 1;
-          let c = compiled.(i) in
-          Trigger.Tbl.replace seen
-            (Trigger.key config.variant c (Trigger.of_subst c sub))
-            ()
-        end)
-      r.applied);
   let rule_display i =
     let n = Tgd.name rules.(i) in
     if n = "" then Fmt.str "rule#%d" (i + 1) else n
   in
-  (* Baselines for the run-total metrics reported at the end: a resumed
-     prefix was reinstated above and must not be double-counted, and the
+  (* Baselines for the run-total metrics reported at the end: the
      matcher counters are process-wide. *)
-  let applied0 = !triggers_applied
-  and skipped0 = !triggers_skipped
-  and created0 = !atoms_created
-  and nulls0 = !null_counter in
-  let firings0 = Array.copy firings in
   let hom0 = Hom.Stats.snapshot () in
   let plan0 = Plan.Stats.snapshot () in
   (* Per-rule profile accumulators, only paid for when observed. *)
@@ -255,12 +199,11 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
     let c_start = if tracked then Hom.Stats.candidates_now () else 0 in
     let i = tr.Trigger.rule in
     let c = compiled.(i) in
-    incr step_counter;
     incr triggers_applied;
     firings.(i) <- firings.(i) + 1;
     if tracked then
       Obs.span_begin obs
-        ~args:[ ("step", Chase_obs.Jsonv.Int !step_counter) ]
+        ~args:[ ("step", Chase_obs.Jsonv.Int !triggers_applied) ]
         (rule_display i);
     let vals, created = Trigger.extend c tr ~fresh:fresh_null in
     let parents = List.map (Trigger.instantiate vals) c.body in
@@ -282,7 +225,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
               parents;
               guard_parent;
               depth;
-              step = !step_counter;
+              step = !triggers_applied;
               created_nulls = created;
             }
         end)
@@ -330,8 +273,8 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
     end;
     match on_trigger with
     | Some f ->
-      f ~step:!step_counter ~rule_index:i ~depth ~created_nulls:created c.tgd
-        (Lazy.force hom) added
+      f ~step:!triggers_applied ~rule_index:i ~depth ~created_nulls:created
+        c.tgd (Lazy.force hom) added
     | None -> ()
   in
   let firing_table () =
@@ -369,14 +312,14 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
   in
   let status = loop () in
   if tracked then begin
-    (* Run totals into the metric registry, as deltas against both the
-       resumed prefix and the process-wide matcher counters. *)
+    (* Run totals into the metric registry; the matcher's as deltas
+       against its process-wide counters. *)
     let dh = Hom.Stats.diff hom0 (Hom.Stats.snapshot ()) in
     let dp = Plan.Stats.diff plan0 (Plan.Stats.snapshot ()) in
-    Obs.incr obs ~by:(!triggers_applied - applied0) "chase.triggers_applied";
-    Obs.incr obs ~by:(!triggers_skipped - skipped0) "chase.triggers_skipped";
-    Obs.incr obs ~by:(!atoms_created - created0) "chase.atoms_created";
-    Obs.incr obs ~by:(!null_counter - nulls0) "chase.nulls_created";
+    Obs.incr obs ~by:!triggers_applied "chase.triggers_applied";
+    Obs.incr obs ~by:!triggers_skipped "chase.triggers_skipped";
+    Obs.incr obs ~by:!atoms_created "chase.atoms_created";
+    Obs.incr obs ~by:!null_counter "chase.nulls_created";
     Obs.incr obs ~by:dh.Hom.Stats.probes "chase.hom.probes";
     Obs.incr obs ~by:dh.Hom.Stats.full_scans "chase.hom.full_scans";
     Obs.incr obs ~by:dh.Hom.Stats.candidates "chase.hom.candidates";
@@ -399,9 +342,8 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?resume ?on_trigger
     Array.iteri
       (fun i _ ->
         let label = rule_display i in
-        let df = firings.(i) - firings0.(i) in
-        if df > 0 || prof_time.(i) > 0. then begin
-          Obs.incr obs ~label ~by:df "chase.rule.firings";
+        if firings.(i) > 0 || prof_time.(i) > 0. then begin
+          Obs.incr obs ~label ~by:firings.(i) "chase.rule.firings";
           Obs.incr obs ~label ~by:prof_nulls.(i) "chase.rule.nulls";
           Obs.incr obs ~label ~by:prof_probes.(i) "chase.rule.probes";
           Obs.observe obs ~label "chase.rule.match_s" prof_match.(i);

@@ -52,35 +52,9 @@ type result = {
 val exhausted : result -> bool
 val exhaustion : result -> Limits.Exhaustion.reason option
 
-(** A restored mid-run state, produced by [Chase_persist.Recovery] from a
-    write-ahead journal (plus an optional snapshot).  [run ~resume] picks
-    the chase up exactly where the recorded run stopped: instance,
-    provenance, counters and the set of already-applied triggers are
-    reinstated, so no trigger fires twice and fresh nulls continue from
-    the restored stamp. *)
-type resume = {
-  facts : Atom.t list;
-      (** full restored instance: the database plus every journaled
-          creation *)
-  derivations : (Atom.t * Derivation.t) list;
-      (** provenance of every restored non-database fact *)
-  applied : (int * Subst.t) list;
-      (** applied triggers (rule index, full body homomorphism), in step
-          order *)
-  applied_count : int;
-      (** [List.length applied], carried so that resume-heavy paths never
-          re-walk the list *)
-  created_count : int;  (** [List.length derivations], ditto *)
-  next_null : int;  (** highest null stamp used so far *)
-  next_step : int;  (** last step number used so far *)
-  skipped : int;
-      (** restricted chase: prior skips (not journaled; 0 when unknown) *)
-}
-
 val run :
   ?config:config ->
   ?obs:Chase_obs.Obs.t ->
-  ?resume:resume ->
   ?on_trigger:
     (step:int ->
     rule_index:int ->
@@ -96,20 +70,25 @@ val run :
   result
 (** [run rules db] chases the facts [db]; the input list is not mutated.
     When the run terminates, the result instance is a (finite) universal
-    model of the database and the rules.  [resume] restores a recovered
-    mid-run state before the worklist is seeded; counters restart from
-    the restored values, so a trigger budget spans the original run and
-    the resumed one.  [on_trigger] fires after every trigger application
-    with the step number, the rule and its index, the derivation depth,
-    the stamps of the nulls the application invented, the full body
-    homomorphism and the facts actually added (see {!Sequence} and the
-    write-ahead journal of [Chase_persist]); [watchdog] receives periodic
-    progress snapshots (see {!Watchdog}).  [obs] streams structured
-    telemetry — a [chase] span with per-trigger child spans, periodic
-    counter samples, and run-total plus per-rule metrics
+    model of the database and the rules.  [on_trigger] fires after every
+    trigger application with the step number, the rule and its index,
+    the derivation depth, the stamps of the nulls the application
+    invented, the full body homomorphism and the facts actually added
+    (see {!Sequence} and the write-ahead journal of [Chase_persist]); an
+    exception it raises ends the run and propagates.  [watchdog]
+    receives periodic progress snapshots (see {!Watchdog}).  [obs]
+    streams structured telemetry — a [chase] span with per-trigger child
+    spans, periodic counter samples, and run-total plus per-rule metrics
     ([chase.rule.firings/nulls/probes/match_s/time_s], labelled by rule
     display name) into its registry; the default {!Chase_obs.Obs.disabled}
     reduces every instrumentation point to a flag test.
+
+    A run is deterministic: the same rules, database and limits give the
+    same sequence of [on_trigger] calls, null stamps included, so the
+    first [k] steps of any run are the first [k] steps of every run with
+    looser limits.  Resuming from a journal relies on this — it runs
+    again from step zero and checks each step against the journaled one
+    ([Chase_persist.Recovery]); no mid-run state is ever restored.
 
     Trigger discovery is sequential: the seed sweep and the per-fact
     delta sweep run on the calling thread.  The delta sweep for a new

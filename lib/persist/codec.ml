@@ -162,9 +162,8 @@ let get_bindings r =
 (* Journal step records                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** One trigger application, as journaled: enough to replay the step
-    deterministically and to cross-check the replay against what the
-    engine actually did. *)
+(** One trigger application, as journaled: what a re-run of the chase
+    must reproduce at this step. *)
 type step_record = {
   step : int;  (** global step number, 1-based, contiguous *)
   rule_index : int;  (** index into the run's rule list *)
@@ -174,6 +173,17 @@ type step_record = {
   created_nulls : int list;  (** stamps, ascending, contiguous globally *)
   created_atoms : Atom.t list;  (** facts actually added (possibly none) *)
 }
+
+let record ~step ~rule_index ~depth ~created_nulls rule hom created_atoms =
+  {
+    step;
+    rule_index;
+    rule_name = Tgd.name rule;
+    hom;
+    depth;
+    created_nulls;
+    created_atoms;
+  }
 
 let encode_step sr =
   let b = Buffer.create 128 in

@@ -42,9 +42,8 @@ val get_bindings : reader -> Subst.t
 
 (** {1 Journal step records} *)
 
-(** One trigger application, as journaled: enough to replay the step
-    deterministically and to cross-check the replay against what the
-    engine actually did. *)
+(** One trigger application, as journaled: what a re-run of the chase
+    must reproduce at this step. *)
 type step_record = {
   step : int;  (** global step number, 1-based, contiguous *)
   rule_index : int;  (** index into the run's rule list *)
@@ -54,6 +53,18 @@ type step_record = {
   created_nulls : int list;  (** stamps, ascending, contiguous globally *)
   created_atoms : Atom.t list;  (** facts actually added (possibly none) *)
 }
+
+val record :
+  step:int ->
+  rule_index:int ->
+  depth:int ->
+  created_nulls:int list ->
+  Tgd.t ->
+  Subst.t ->
+  Atom.t list ->
+  step_record
+(** The record of one application, from the arguments of the engine's
+    [on_trigger] hook. *)
 
 val encode_step : step_record -> string
 val decode_step : string -> step_record

@@ -62,12 +62,6 @@ let matches h ~variant ~rules ~db =
     Error "journal was written for a different database"
   else Ok ()
 
-let pp_header fm h =
-  Fmt.pf fm "%a chase, %d rules, rules %s…, db %s…"
-    Chase_engine.Variant.pp h.variant h.rule_count
-    (String.sub h.rules_digest 0 8)
-    (String.sub h.db_digest 0 8)
-
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)
 (* ------------------------------------------------------------------ *)

@@ -28,8 +28,6 @@ val matches :
   (unit, string) result
 (** Refuse a resume against the wrong variant, rule set or database. *)
 
-val pp_header : Format.formatter -> header -> unit
-
 val encode_header : header -> string
 (** Raw header payload (shared with {!Snapshot}'s embedding). *)
 

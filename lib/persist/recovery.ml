@@ -1,202 +1,27 @@
-(** Deterministic recovery: latest valid snapshot + journal tail →
-    a restored {!Engine.resume} state.
+(** Recovery: read a journal (plus an optional snapshot), choose the
+    history to resume — and check a re-run against that history.
 
-    The best available history is chosen (the snapshot's records when the
-    journal's valid prefix is shorter, the journal's otherwise), then
-    {e replayed}: every record's homomorphism must map its rule body into
-    the instance built so far, the recorded null stamps must continue the
-    global stamp sequence, and re-deriving the head must reproduce
-    exactly the recorded created atoms and depth.  Replay therefore
-    doubles as an integrity check far stronger than the per-record CRC —
-    a journal that passes belongs to a real run of these rules on this
-    database.  The restored state is finally certified with
-    {!Engine.check_provenance} before the chase is allowed to continue.
+    There is one recovery semantics.  The FIFO engine is deterministic,
+    so a journal of [k] records is exactly the first [k] steps of one
+    chase sequence; a resumed run is a fresh {!Engine.run} from step
+    zero whose [on_trigger] hook compares each regenerated step, byte
+    for byte ({!Codec.encode_step}), with the next journaled record
+    ({!expect}).  Nothing is restored into the engine, so a resumed
+    run's output is the uninterrupted run's output, and a journal that
+    passes belongs to a real run of these rules on this database. *)
 
-    Torn or corrupt journal tails are truncated (and, when the snapshot
-    is ahead of the journal, the journal is atomically rewritten to the
-    recovered history) so that appending after the resume always yields
-    a well-formed journal. *)
-
-open Chase_logic
 module Engine = Chase_engine.Engine
-module Derivation = Chase_engine.Derivation
 
 type report = {
   header : Journal.header;
-  resume : Engine.resume;
-  history : Codec.step_record list;  (** the recovered, validated history *)
+  history : Codec.step_record list;  (** the history to check, in order *)
+  journal_records : int;  (** records in the journal's valid prefix *)
   snapshot_step : int;  (** last step held by the snapshot; 0 if none *)
-  journal_step : int;  (** last step of the journal's valid prefix *)
   torn : (int * string) option;
       (** byte offset and reason when a corrupt tail was detected *)
-  repaired : bool;  (** the journal file was truncated or rewritten *)
 }
 
-let pp_report fm r =
-  Fmt.pf fm
-    "@[<v>recovered %d steps (%a)@ journal prefix: %d steps%s@ snapshot: %s@]"
-    (List.length r.history) Journal.pp_header r.header r.journal_step
-    (match r.torn with
-    | None -> ""
-    | Some (off, why) -> Fmt.str " — torn tail at byte %d (%s)" off why)
-    (if r.snapshot_step = 0 then "none"
-     else Fmt.str "through step %d" r.snapshot_step)
-
-(* Replay a validated history against the rules and database, rebuilding
-   instance, provenance and counters exactly as the engine left them. *)
-let replay ~rules ~db records =
-  let rules = Array.of_list rules in
-  let instance = Instance.create () in
-  List.iter (fun a -> ignore (Instance.add instance a)) db;
-  let provenance = Atom.Tbl.create 256 in
-  let derivations = ref [] in
-  let n_derivations = ref 0 in
-  let applied = ref [] in
-  let n_applied = ref 0 in
-  let null_counter = ref 0 in
-  let last_step = ref 0 in
-  let fail sr fmt =
-    Fmt.kstr (fun m -> Error (Fmt.str "journal record %d: %s" sr.Codec.step m))
-      fmt
-  in
-  let atom_depth a =
-    match Atom.Tbl.find_opt provenance a with
-    | Some d -> Derivation.depth d
-    | None -> 0
-  in
-  let rec go = function
-    | [] ->
-      Ok
-        {
-          Engine.facts = Instance.to_list instance;
-          derivations = List.rev !derivations;
-          applied = List.rev !applied;
-          applied_count = !n_applied;
-          created_count = !n_derivations;
-          next_null = !null_counter;
-          next_step = !last_step;
-          skipped = 0;
-        }
-    | sr :: rest -> (
-      let open Codec in
-      if sr.step <> !last_step + 1 then
-        fail sr "out-of-order step (after %d)" !last_step
-      else if sr.rule_index < 0 || sr.rule_index >= Array.length rules then
-        fail sr "rule index %d out of range" sr.rule_index
-      else begin
-        let rule = rules.(sr.rule_index) in
-        if Tgd.name rule <> sr.rule_name then
-          fail sr "rule name mismatch (%S in the journal, %S in the program)"
-            sr.rule_name (Tgd.name rule)
-        else begin
-          let parents = Subst.apply_atoms sr.hom (Tgd.body rule) in
-          match
-            List.find_opt (fun p -> not (Instance.mem instance p)) parents
-          with
-          | Some p ->
-            fail sr "body image %a is not in the instance" Atom.pp p
-          | None ->
-            let depth =
-              1 + List.fold_left (fun d a -> max d (atom_depth a)) 0 parents
-            in
-            if depth <> sr.depth then
-              fail sr "depth mismatch (recorded %d, replayed %d)" sr.depth
-                depth
-            else begin
-              let existentials =
-                Util.Sset.elements (Tgd.existentials rule)
-              in
-              if List.length existentials <> List.length sr.created_nulls
-              then fail sr "null count mismatch for rule %a" Tgd.pp rule
-              else if
-                not
-                  (List.for_all
-                     (fun id ->
-                       incr null_counter;
-                       id = !null_counter)
-                     sr.created_nulls)
-              then fail sr "null stamps break the global sequence"
-              else begin
-                let sub' =
-                  List.fold_left2
-                    (fun acc z id -> Subst.bind_exn acc z (Term.Null id))
-                    sr.hom existentials sr.created_nulls
-                in
-                let guard_parent =
-                  Option.map (Subst.apply_atom sr.hom)
-                    (Chase_classes.Classify.guard_of rule)
-                in
-                let added = ref [] in
-                List.iter
-                  (fun head_atom ->
-                    let fact = Subst.apply_atom sub' head_atom in
-                    if Instance.add instance fact then begin
-                      added := fact :: !added;
-                      let d =
-                        {
-                          Derivation.rule;
-                          hom = sr.hom;
-                          parents;
-                          guard_parent;
-                          depth;
-                          step = sr.step;
-                          created_nulls = sr.created_nulls;
-                        }
-                      in
-                      Atom.Tbl.replace provenance fact d;
-                      derivations := (fact, d) :: !derivations;
-                      incr n_derivations
-                    end)
-                  (Tgd.head rule);
-                let added = List.rev !added in
-                if
-                  List.length added <> List.length sr.created_atoms
-                  || not (List.for_all2 Atom.equal added sr.created_atoms)
-                then
-                  fail sr
-                    "replayed facts do not match the recorded creations"
-                else begin
-                  applied := (sr.rule_index, sr.hom) :: !applied;
-                  incr n_applied;
-                  last_step := sr.step;
-                  go rest
-                end
-              end
-            end
-        end
-      end)
-  in
-  go records
-
-(* The certified soundness check of the restored state: every restored
-   fact is a database fact or carries a derivation that replays. *)
-let certify ~variant ~db (resume : Engine.resume) =
-  let provenance = Atom.Tbl.create 256 in
-  List.iter
-    (fun (a, d) -> Atom.Tbl.replace provenance a d)
-    resume.Engine.derivations;
-  let result =
-    {
-      Engine.instance = Instance.of_list resume.Engine.facts;
-      status = Engine.Terminated;
-      variant;
-      triggers_applied = resume.Engine.applied_count;
-      triggers_skipped = resume.Engine.skipped;
-      atoms_created = resume.Engine.created_count;
-      nulls_created = resume.Engine.next_null;
-      max_depth =
-        List.fold_left
-          (fun m (_, d) -> max m (Derivation.depth d))
-          0 resume.Engine.derivations;
-      elapsed = 0.;
-      rule_firings = [];
-      queue_residual = 0;
-      provenance;
-    }
-  in
-  Engine.check_provenance result ~db
-
-let recover ?snapshot ?(repair = true) ~journal ~variant ~rules ~db () =
+let recover ?snapshot ~journal ~variant ~rules ~db () =
   match Journal.read journal with
   | Error m -> Error m
   | Ok (header, jrecords, tail) -> (
@@ -221,40 +46,99 @@ let recover ?snapshot ?(repair = true) ~journal ~variant ~rules ~db () =
           s.Snapshot.records
         | Some _ | None -> jrecords
       in
-      match replay ~rules ~db history with
-      | Error m -> Error m
-      | Ok resume -> (
-        match certify ~variant ~db resume with
-        | Error m ->
-          Error ("recovered state fails provenance validation: " ^ m)
-        | Ok () ->
-          let repaired =
-            if not repair then false
-            else if List.length history > journal_step then begin
-              (* the snapshot is ahead of the journal's valid prefix:
-                 rewrite the journal to the recovered history so appends
-                 continue a well-formed file *)
-              Journal.rewrite journal header history;
-              true
-            end
-            else begin
-              match tail with
-              | Journal.Torn { offset; _ } ->
-                Journal.truncate_at journal offset;
-                true
-              | Journal.Clean -> false
-            end
-          in
-          Ok
-            {
-              header;
-              resume;
-              history;
-              snapshot_step;
-              journal_step;
-              torn =
-                (match tail with
-                | Journal.Torn { offset; reason } -> Some (offset, reason)
-                | Journal.Clean -> None);
-              repaired;
-            }))
+      Ok
+        {
+          header;
+          history;
+          journal_records = journal_step;
+          snapshot_step;
+          torn =
+            (match tail with
+            | Journal.Torn { offset; reason } -> Some (offset, reason)
+            | Journal.Clean -> None);
+        })
+
+let repair ~journal report =
+  if List.length report.history > report.journal_records then
+    (* the snapshot is ahead of the journal's valid prefix *)
+    Journal.rewrite journal report.header report.history
+  else
+    Option.iter
+      (fun (offset, _) -> Journal.truncate_at journal offset)
+      report.torn
+
+(* ------------------------------------------------------------------ *)
+(* Checking a re-run against the history                               *)
+(* ------------------------------------------------------------------ *)
+
+exception Mismatch of string
+
+type check = {
+  mutable pending : Codec.step_record list;
+  mutable checked : int;  (** records the re-run has matched so far *)
+}
+
+let check report = { pending = report.history; checked = 0 }
+
+(* The first field in which the journaled record [j] and the re-run's
+   record [r] differ — a diagnostic only: the test is byte equality. *)
+let difference (j : Codec.step_record) (r : Codec.step_record) =
+  let open Codec in
+  let show what pp a b =
+    Fmt.str "%s %a in the journal, %a in the re-run" what pp a pp b
+  in
+  let atoms = Fmt.(brackets (list ~sep:comma Chase_logic.Atom.pp)) in
+  if j.step <> r.step then show "step" Fmt.int j.step r.step
+  else if j.rule_index <> r.rule_index then
+    show "rule index" Fmt.int j.rule_index r.rule_index
+  else if j.rule_name <> r.rule_name then
+    show "rule name" Fmt.Dump.string j.rule_name r.rule_name
+  else if not (Chase_logic.Subst.equal j.hom r.hom) then
+    show "homomorphism" Chase_logic.Subst.pp j.hom r.hom
+  else if j.depth <> r.depth then show "depth" Fmt.int j.depth r.depth
+  else if j.created_nulls <> r.created_nulls then
+    show "null stamps" Fmt.(Dump.list int) j.created_nulls r.created_nulls
+  else show "created atoms" atoms j.created_atoms r.created_atoms
+
+let expect c sr =
+  match c.pending with
+  | [] -> false
+  | j :: rest ->
+    if not (String.equal (Codec.encode_step j) (Codec.encode_step sr)) then
+      raise
+        (Mismatch
+           (Fmt.str "journal record %d: %s" (c.checked + 1) (difference j sr)));
+    c.pending <- rest;
+    c.checked <- c.checked + 1;
+    true
+
+let settle c status =
+  match (c.pending, status) with
+  | _ :: _, Engine.Terminated ->
+    Error
+      (Fmt.str "journal record %d: the chase terminated after step %d"
+         (c.checked + 1) c.checked)
+  | _, (Engine.Terminated | Engine.Exhausted _) -> Ok ()
+
+let checked c run =
+  match run () with
+  | result -> Result.map (fun () -> result) (settle c result.Engine.status)
+  | exception Mismatch m -> Error m
+
+let verify ~variant ~rules ~db report =
+  let c = check report in
+  let config =
+    {
+      Engine.variant;
+      limits =
+        Chase_engine.Limits.make
+          ~max_triggers:(List.length report.history) ();
+    }
+  in
+  let on_trigger ~step ~rule_index ~depth ~created_nulls rule hom added =
+    ignore
+      (expect c
+         (Codec.record ~step ~rule_index ~depth ~created_nulls rule hom added))
+  in
+  checked c (fun () -> Engine.run ~config ~on_trigger rules db)
+  |> Result.map ignore

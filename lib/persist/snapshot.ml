@@ -1,13 +1,12 @@
 (** Atomic snapshots of a chase in progress.
 
-    A snapshot is the run's full replayable history — the journal header
+    A snapshot is the run's full history — the journal header
     plus every step record up to a point — serialized as one
     CRC-32-checked blob and published with write-to-temp + [rename], so
     a reader always sees either the previous snapshot or the new one,
     never a partial file.  Recovery prefers the snapshot when the
     journal's valid prefix is shorter (e.g. the journal lost more bytes
-    than the snapshot cadence), and replays the journal tail beyond the
-    snapshot otherwise. *)
+    than the snapshot cadence), and the journal otherwise. *)
 
 let magic = "CHSNAP1\n"
 

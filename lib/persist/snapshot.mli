@@ -1,7 +1,7 @@
-(** Atomic snapshots of a chase in progress: the run's full replayable
-    history (journal header + step records up to a point) serialized as
-    one CRC-32-checked blob, published with write-to-temp + [rename] so
-    a reader always sees a complete snapshot or none. *)
+(** Atomic snapshots of a chase in progress: the run's full history
+    (journal header + step records up to a point) serialized as one
+    CRC-32-checked blob, published with write-to-temp + [rename] so a
+    reader always sees a complete snapshot or none. *)
 
 type t = {
   header : Journal.header;

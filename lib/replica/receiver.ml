@@ -13,15 +13,18 @@
     are detected by their stale sequence number, re-acked — the
     cumulative ack stays monotone — and not applied again.
 
-    Continuous certification: a background thread replays every
-    received journal through {!Chase_persist.Recovery} (repair
-    disabled — certification must never mutate shipped state) against
-    the program text of its own shipped [.req] file, so the standby
-    knows {e before} promotion that its state re-derives.  Promotion
-    itself is not this module's business: {!Standby} stops the
-    receiver and boots a {!Chase_service.Server}, whose ordinary boot
-    recovery completes every acknowledged request by deterministic
-    re-run from step zero.
+    Continuous certification: a background thread re-runs the chase of
+    every received journal's shipped [.req] program, capped at the
+    journal's length, and checks each step against the journal
+    ({!Chase_persist.Recovery.verify}, which writes nothing —
+    certification must never mutate shipped state), so the standby
+    knows {e before} promotion that its state re-derives.  Stopping the
+    receiver waits for the re-run in progress, not for the rest of the
+    sweep.  Promotion itself is not this
+    module's business: {!Standby} stops the receiver and boots a
+    {!Chase_service.Server}, whose ordinary boot recovery resumes every
+    acknowledged request: a re-run from step zero, checked against its
+    journal and appending only past the journal's end.
 
     Replication lag: each ship frame carries the shipper's queue head;
     [head - seq] lands in the [repl.lag] histogram of this receiver's
@@ -238,13 +241,14 @@ let read_file path =
       (fun () -> Some (really_input_string ic (in_channel_length ic)))
   | exception Sys_error _ -> None
 
-(* Re-derive the journal against the program of its own shipped [.req]:
-   the same certification path boot recovery runs, minus any repair —
-   the standby must never mutate what the primary shipped. *)
-let certify_one t name =
-  let jnl = Filename.concat t.cfg.spool_dir name in
+(* Re-run the chase of the journal's own shipped [.req], capped at the
+   journal's length, and check every step against it: the check a
+   resume runs, minus any repair — the standby must never mutate what
+   the primary shipped. *)
+let certify_one ~spool_dir name =
+  let jnl = Filename.concat spool_dir name in
   let key = Filename.chop_suffix name ".jnl" in
-  let req_path = Filename.concat t.cfg.spool_dir (key ^ ".req") in
+  let req_path = Filename.concat spool_dir (key ^ ".req") in
   match read_file req_path with
   | None -> None (* request not shipped yet: certify later *)
   | Some bytes -> (
@@ -258,17 +262,18 @@ let certify_one t name =
       in
       match Parser.parse_program req.Proto.program with
       | Error why -> Some (Error (Fmt.str "unparseable program: %s" why))
-      | Ok (rules, db) -> (
+      | Ok (rules, db) ->
         let snapshot =
           let s = jnl ^ ".snap" in
           if Sys.file_exists s then Some s else None
         in
-        match
-          Recovery.recover ?snapshot ~repair:false ~journal:jnl ~variant
-            ~rules ~db ()
-        with
-        | Ok report -> Some (Ok report.Recovery.journal_step)
-        | Error why -> Some (Error why))))
+        Some
+          (Result.bind
+             (Recovery.recover ?snapshot ~journal:jnl ~variant ~rules ~db ())
+             (fun report ->
+               Result.map
+                 (fun () -> List.length report.Recovery.history)
+                 (Recovery.verify ~variant ~rules ~db report)))))
 
 let certify_sweep t =
   match Sys.readdir t.cfg.spool_dir with
@@ -276,7 +281,9 @@ let certify_sweep t =
   | names ->
     Array.iter
       (fun name ->
-        if Filename.check_suffix name ".jnl" then begin
+        (* a certification is a chase re-run: once the receiver is
+           stopping (promotion waits on this thread), start no more *)
+        if (not t.stop) && Filename.check_suffix name ".jnl" then begin
           let size =
             try (Unix.stat (Filename.concat t.cfg.spool_dir name)).Unix.st_size
             with Unix.Unix_error _ -> -1
@@ -289,7 +296,7 @@ let certify_sweep t =
                    | _ -> true)
           in
           if due then
-            match certify_one t name with
+            match certify_one ~spool_dir:t.cfg.spool_dir name with
             | None -> ()
             | Some (Ok step) ->
               locked t (fun () ->

@@ -4,10 +4,9 @@
     re-acked without re-applying, anything corrupt or out of order
     draws a structured nack (which is the re-request: the shipper
     answers with a full-resync session).  A background thread
-    continuously re-certifies every received journal through
-    {!Chase_persist.Recovery} (repair disabled) against its shipped
-    [.req] program, and each frame's [head - seq] lands in the
-    [repl.lag] metric histogram. *)
+    continuously certifies every received journal ({!certify_one}), and
+    each frame's [head - seq] lands in the [repl.lag] metric
+    histogram. *)
 
 type config = {
   spool_dir : string;
@@ -33,6 +32,16 @@ type t
 val start : config -> t
 val stop : t -> unit
 (** Close everything and write final metric summaries. *)
+
+val certify_one :
+  spool_dir:string -> string -> (int, string) result option
+(** [certify_one ~spool_dir name] certifies the journal [name] of the
+    spool: the chase of its shipped [.req] program is re-run, capped at
+    the journal's length, and every step is checked against the journal
+    ({!Chase_persist.Recovery.verify}).  [Some (Ok k)] when all [k]
+    records match; [Some (Error reason)] when the journal or its
+    request is unusable or a record differs; [None] while the [.req]
+    has not arrived.  Never modifies the spool. *)
 
 val last_error : t -> string option
 (** The most recent nack reason or certification failure. *)

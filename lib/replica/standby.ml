@@ -7,11 +7,11 @@
     Promotion is the whole point: on [promote] (the wire op, or
     {!promote} in process) the receiver and the stub stop, and an
     ordinary {!Chase_service.Server} boots on the same spool — its
-    standard boot recovery certifies every received journal by replay
-    and completes every acknowledged-but-unanswered request by
-    deterministic re-run from step zero.  Nothing about promotion is
-    special-cased in the server: a promoted standby {e is} a primary
-    that just booted, which is exactly why its responses are
+    standard boot recovery completes every acknowledged-but-unanswered
+    request by a re-run from step zero that checks each step against
+    the received journal and appends only past its end.  Nothing about
+    promotion is special-cased in the server: a promoted standby {e is}
+    a primary that just booted, which is exactly why its responses are
     byte-identical to ones the dead primary would have produced.
 
     The doctrine, stated once: ship durable state, re-derive

@@ -155,10 +155,10 @@ type chase_opts = {
   journal_sync : int;
   resume : string option;
   resume_or_start : bool;
-      (** service mode: when [resume] fails because the journal is
-          missing or unusable, start a fresh journaled run at the same
-          path instead of failing — boot recovery must make progress on
-          a journal a kill left headerless *)
+      (** service mode: when [resume] fails — the journal is missing,
+          unusable, or differs from the re-run — start a fresh journaled
+          run at the same path instead of failing: boot recovery must
+          make progress on a journal a kill left headerless *)
   lint : bool;
   trace : string option;
   metrics : string option;
@@ -241,91 +241,70 @@ let chase o ~file ~src ~out ~err =
         let watchdog =
           watchdog_of ?on_snapshot:o.on_progress ~err ~obs o.progress
         in
-        (* Durability wiring: a fresh journal, a resumed one, or none. *)
-        let durability =
-          match o.resume with
-          | Some jpath -> (
-            let snapshot = Session.snapshot_path jpath in
-            let fresh () =
-              Ok
-                ( Some
-                    (Session.start ~obs ~journal:jpath ~snapshot
-                       ~snapshot_every:o.snapshot_every
-                       ~fsync_every:o.journal_sync ~variant:o.variant ~rules
-                       ~db ()),
-                  None )
-            in
-            match
-              Recovery.recover ~snapshot ~journal:jpath ~variant:o.variant
-                ~rules ~db ()
-            with
+        (* Durability wiring: a fresh journal, a continued one, or none.
+           A continued journal is not restored into the engine: the run
+           starts again from step zero and its session checks every step
+           the journal holds, so a resumed run prints what the
+           uninterrupted run prints. *)
+        let start jpath =
+          Session.start ~obs ~journal:jpath
+            ~snapshot:(Session.snapshot_path jpath)
+            ~snapshot_every:o.snapshot_every ~fsync_every:o.journal_sync
+            ~variant:o.variant ~rules ~db ()
+        in
+        let continue jpath =
+          let snapshot = Session.snapshot_path jpath in
+          Recovery.recover ~snapshot ~journal:jpath ~variant:o.variant ~rules
+            ~db ()
+          |> Result.map (fun report ->
+                 (match report.Recovery.torn with
+                 | Some (off, why) ->
+                   Fmt.pf rlog
+                     "journal: torn tail at byte %d (%s), cut before the \
+                      first append@."
+                     off why
+                 | None -> ());
+                 Fmt.pf rlog
+                   "resuming: re-running the chase against %d journal \
+                    records%s@."
+                   (List.length report.Recovery.history)
+                   (if report.Recovery.snapshot_step > 0 then
+                      Fmt.str " (snapshot through step %d)"
+                        report.Recovery.snapshot_step
+                    else "");
+                 Session.continue_ ~obs ~journal:jpath ~snapshot
+                   ~snapshot_every:o.snapshot_every
+                   ~fsync_every:o.journal_sync report)
+        in
+        let run session =
+          let go () =
+            Engine.run ~config ~obs
+              ?on_trigger:(Option.map Session.on_trigger session)
+              ?watchdog rules db
+          in
+          match session with Some s -> Session.run s go | None -> Ok (go ())
+        in
+        let outcome =
+          match (o.resume, o.journal) with
+          | Some jpath, _ -> (
+            match Result.bind (continue jpath) (fun s -> run (Some s)) with
             | Error msg when o.resume_or_start ->
               (* boot recovery: the kill may have landed before the
-                 header reached the disk — restart the run, reusing the
-                 journal path so the next kill still recovers *)
+                 header reached the disk, or the journal may not be this
+                 run's — restart the run, reusing the journal path so
+                 the next kill still recovers *)
               Fmt.pf rlog "cannot recover (%s): starting fresh@." msg;
-              fresh ()
-            | Error msg -> Error msg
-            | Ok report when o.resume_or_start ->
-              (* service mode: the recovery certified the journal (every
-                 record replayed against these rules and this database),
-                 but a stitched continuation is not byte-stable — the
-                 worklist order at the kill point is not reconstructible
-                 from the journal alone, and the printed run statistics
-                 (max depth, and under exhaustion far more) depend on it.
-                 Restart from step zero instead: deterministic replay
-                 makes the response byte-identical to a single-shot run,
-                 which is the stronger service invariant. *)
-              Fmt.pf rlog
-                "recovered %d journal records through step %d: restarting \
-                 for deterministic replay@."
-                (List.length report.Recovery.history)
-                report.Recovery.resume.Engine.next_step;
-              fresh ()
-            | Ok report ->
-              (match report.Recovery.torn with
-              | Some (off, why) ->
-                Fmt.pf rlog "journal: truncated torn tail at byte %d (%s)@."
-                  off why
-              | None -> ());
-              Fmt.pf rlog "resuming at step %d (%d journal records%s)@."
-                report.Recovery.resume.Engine.next_step
-                (List.length report.Recovery.history)
-                (if report.Recovery.snapshot_step > 0 then
-                   Fmt.str ", snapshot through step %d"
-                     report.Recovery.snapshot_step
-                 else "");
-              let s =
-                Session.continue_ ~obs ~journal:jpath ~snapshot
-                  ~snapshot_every:o.snapshot_every
-                  ~fsync_every:o.journal_sync report
-              in
-              Ok (Some s, Some report.Recovery.resume))
-          | None -> (
-            match o.journal with
-            | Some jpath ->
-              let snapshot = Session.snapshot_path jpath in
-              Ok
-                ( Some
-                    (Session.start ~obs ~journal:jpath ~snapshot
-                       ~snapshot_every:o.snapshot_every
-                       ~fsync_every:o.journal_sync ~variant:o.variant ~rules
-                       ~db ()),
-                  None )
-            | None -> Ok (None, None))
+              run (Some (start jpath))
+            | outcome -> outcome)
+          | None, Some jpath -> run (Some (start jpath))
+          | None, None -> run None
         in
-        match durability with
+        obs_close ();
+        match outcome with
         | Error msg ->
-          obs_close ();
           Fmt.pf err "cannot resume: %s@." msg;
           2
-        | Ok (session, resume) -> (
-          let on_trigger = Option.map Session.on_trigger session in
-          let result =
-            Engine.run ~config ~obs ?resume ?on_trigger ?watchdog rules db
-          in
-          Option.iter Session.finish session;
-          obs_close ();
+        | Ok result -> (
           Option.iter (fun f -> f result.Engine.status) o.on_status;
           if not o.quiet then
             List.iter

@@ -15,9 +15,12 @@
     Durability: a [durable:true] chase is acknowledged by spooling the
     request (fsync) {e before} it runs, journals through the spool's
     per-key journal path, and writes its response bytes back to the
-    spool.  Boot recovery ({!start}) replays every acknowledged request
-    without a response — resuming its journal where the kill left it —
-    so acknowledged requests are never lost.
+    spool.  Boot recovery ({!start}) re-runs every acknowledged request
+    without a response, checking each step against the journal the kill
+    left and appending only past its end, so acknowledged requests are
+    never lost.  The request itself is already durable: recovery neither
+    rewrites nor re-ships it, so a boot never waits on a standby's ack
+    before it starts serving.
 
     Chaos hooks: the config carries {!Chase_engine.Faults.service_fault}s
     (accept-loop death, mid-response connection drops, slow chunked
@@ -494,8 +497,11 @@ let run_job t req ~key ~tctx ~queued_us ~progress ~reply =
         end)
 
 (* The connection-side (or recovery-side) entry: spool-served, cache
-   hit, joined flight, or leadership + admission. *)
-let handle_work ?progress ?tctx t req ~reply =
+   hit, joined flight, or leadership + admission.  [recovered] marks a
+   request boot recovery just read from the spool: it is durable
+   already, so it is neither written nor shipped again, and the boot
+   does not wait on a standby's ack for it. *)
+let handle_work ?progress ?tctx ?(recovered = false) t req ~reply =
   let key = Proto.request_key req in
   let spooled =
     match (req.Proto.durable, t.spool) with
@@ -535,7 +541,7 @@ let handle_work ?progress ?tctx t req ~reply =
       (* acknowledge durable requests before admission: from here on a
          kill cannot lose the request, only delay it *)
       (match (req.Proto.durable, t.spool) with
-      | true, Some spool ->
+      | true, Some spool when not recovered ->
         let bytes = Proto.encode_request req in
         let fsync_us = Tracectx.now_us () in
         Spool.put_request spool ~key bytes;
@@ -851,13 +857,13 @@ let recover_pending t =
           locked t (fun () -> t.recovered <- t.recovered + 1);
           with_obs t (fun obs -> Obs.incr obs "svc.recovered");
           Flight.record ~kind:"recovery" ~name:"replay" key;
-          (* Replay through the normal work path (nobody to answer);
+          (* Re-run through the normal work path (nobody to answer);
              the journal written before the kill is resumed.  An
              acknowledged request must not be dropped by its own
              server's admission queue: retry a synchronous shed. *)
           let rec attempt n =
             let shed = ref false in
-            handle_work t req ~reply:(function
+            handle_work ~recovered:true t req ~reply:(function
               | Proto.Overloaded _ -> shed := true
               | _ -> ());
             if !shed && n < 100 then begin

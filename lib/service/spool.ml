@@ -6,9 +6,9 @@
 
     The contract: once [put_request] returns, the request survives any
     kill — boot recovery ({!pending}) finds every [.req] without a
-    [.resp], resumes its journal and completes it.  Both [.req] and
-    [.resp] are written write-temp / fsync / rename, so a kill can
-    leave stale [.tmp] litter but never a torn visible file. *)
+    [.resp], re-runs it against its journal and completes it.  Both
+    [.req] and [.resp] are written write-temp / fsync / rename, so a
+    kill can leave stale [.tmp] litter but never a torn visible file. *)
 
 type t = { dir : string }
 

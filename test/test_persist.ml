@@ -1,9 +1,10 @@
 (** Durability subsystem tests: codec roundtrips, journal framing and
     torn-tail tolerance, atomic snapshots, and the acceptance-critical
-    crash-determinism property — killing a journaled run after each of
-    the first 50 records (through the real write path, via fault
-    injection) and resuming yields an instance isomorphic to the
-    uninterrupted run's. *)
+    crash-determinism property — a journaled run killed at a record
+    (through the real write path, via fault injection) and resumed
+    prints exactly what the uninterrupted run prints and leaves exactly
+    its journal.  A resume re-runs the chase from step zero and checks
+    every journaled step, so a tampered journal is refused. *)
 
 open Chase
 open Test_util
@@ -50,19 +51,43 @@ let run_journaled ?snapshot_every ?fsync_every ?fault
   Session.finish session;
   result
 
-let recover_exn ?snapshot ?repair ~variant path rules db =
-  match Recovery.recover ?snapshot ?repair ~journal:path ~variant ~rules ~db ()
-  with
+let recover_exn ?snapshot ~variant path rules db =
+  match Recovery.recover ?snapshot ~journal:path ~variant ~rules ~db () with
   | Ok report -> report
   | Error msg -> Alcotest.fail ("recovery failed: " ^ msg)
 
-(** Instances are equal up to null renaming, with matching sizes. *)
-let check_isomorphic msg i1 i2 =
-  Alcotest.(check int) (msg ^ ": cardinal") (Instance.cardinal i1)
-    (Instance.cardinal i2);
-  Alcotest.(check int) (msg ^ ": nulls") (Instance.null_count i1)
-    (Instance.null_count i2);
-  Alcotest.(check bool) (msg ^ ": hom-equivalent") true (hom_equivalent i1 i2)
+(** Resume from [report]: a re-run from step zero whose session checks
+    the journaled steps and appends the rest to [path]. *)
+let resume_run ?(variant = Variant.Oblivious) path report rules db =
+  let session = Session.continue_ ~journal:path ~fsync_every:1 report in
+  match
+    Session.run session (fun () ->
+        Engine.run ~config:(config variant)
+          ~on_trigger:(Session.on_trigger session)
+          rules db)
+  with
+  | Ok result -> result
+  | Error msg -> Alcotest.fail ("resume rejected: " ^ msg)
+
+(** A resumed run is the uninterrupted run: same status, same facts,
+    nulls included, and the same counters. *)
+let check_same_run msg (a : Engine.result) (b : Engine.result) =
+  let terminated (r : Engine.result) = r.Engine.status = Engine.Terminated in
+  Alcotest.(check bool) (msg ^ ": same status") (terminated a) (terminated b);
+  Alcotest.(check (list atom_testable))
+    (msg ^ ": same facts") (sorted_facts a) (sorted_facts b);
+  Alcotest.(check (list int))
+    (msg ^ ": same counters")
+    [ a.Engine.triggers_applied; a.Engine.triggers_skipped;
+      a.Engine.atoms_created; a.Engine.nulls_created; a.Engine.max_depth ]
+    [ b.Engine.triggers_applied; b.Engine.triggers_skipped;
+      b.Engine.atoms_created; b.Engine.nulls_created; b.Engine.max_depth ]
+
+let read_bytes path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* ------------------------------------------------------------------ *)
 (* Codec *)
@@ -223,7 +248,7 @@ let test_snapshot_roundtrip () =
   (* recovery falls back to the journal alone *)
   let report = recover_exn ~snapshot:spath ~variant:Variant.Oblivious path rules db in
   Alcotest.(check int) "journal carries the run" 165
-    report.Recovery.resume.Engine.next_step;
+    (List.length report.Recovery.history);
   Alcotest.(check int) "snapshot ignored" 0 report.Recovery.snapshot_step;
   cleanup path
 
@@ -252,18 +277,10 @@ let test_crash_determinism () =
       (List.length report.Recovery.history);
     Alcotest.(check bool) (Fmt.str "k=%d: tail is clean" k) true
       (report.Recovery.torn = None);
-    let resumed =
-      Engine.run ~config:(config Variant.Oblivious)
-        ~resume:report.Recovery.resume rules db
-    in
+    let resumed = resume_run path report rules db in
     Alcotest.(check bool) (Fmt.str "k=%d: resumed run terminated" k) true
       (resumed.Engine.status = Engine.Terminated);
-    Alcotest.(check int) (Fmt.str "k=%d: total triggers" k)
-      baseline.Engine.triggers_applied resumed.Engine.triggers_applied;
-    Alcotest.(check int) (Fmt.str "k=%d: total nulls" k)
-      baseline.Engine.nulls_created resumed.Engine.nulls_created;
-    check_isomorphic (Fmt.str "k=%d" k) baseline.Engine.instance
-      resumed.Engine.instance;
+    check_same_run (Fmt.str "k=%d" k) baseline resumed;
     (match Engine.check_provenance resumed ~db with
     | Ok () -> ()
     | Error msg ->
@@ -294,9 +311,14 @@ let test_torn_tail_truncation () =
         (Fmt.str "k=%d,b=%d: torn tail detected" k bytes)
         true
         (report.Recovery.torn <> None);
+      (* recovery only reads; the repair cuts the torn tail off *)
       Alcotest.(check bool)
-        (Fmt.str "k=%d,b=%d: journal repaired" k bytes)
-        true report.Recovery.repaired;
+        (Fmt.str "k=%d,b=%d: recovery leaves the tail" k bytes)
+        true
+        (match Journal.read path with
+        | Ok (_, _, Journal.Torn _) -> true
+        | Ok (_, _, Journal.Clean) | Error _ -> false);
+      Recovery.repair ~journal:path report;
       (* after repair the journal reads back clean *)
       (match Journal.read path with
       | Ok (_, records, tail) ->
@@ -304,13 +326,8 @@ let test_torn_tail_truncation () =
         Alcotest.(check int) "records survive repair" (k - 1)
           (List.length records)
       | Error msg -> Alcotest.fail msg);
-      let resumed =
-        Engine.run ~config:(config Variant.Oblivious)
-          ~resume:report.Recovery.resume rules db
-      in
-      check_isomorphic
-        (Fmt.str "k=%d,b=%d" k bytes)
-        baseline.Engine.instance resumed.Engine.instance;
+      let resumed = resume_run path report rules db in
+      check_same_run (Fmt.str "k=%d,b=%d" k bytes) baseline resumed;
       cleanup path)
     [ (1, 3); (2, 7); (10, 1); (25, 11); (50, 20); (100, 5) ]
 
@@ -331,7 +348,9 @@ let test_snapshot_ahead_of_journal () =
     report.Recovery.snapshot_step;
   Alcotest.(check int) "history from the snapshot" 165
     (List.length report.Recovery.history);
-  Alcotest.(check bool) "journal rewritten" true report.Recovery.repaired;
+  Alcotest.(check bool) "journal behind the snapshot" true
+    (report.Recovery.journal_records < 165);
+  Recovery.repair ~journal:path report;
   (match Journal.read path with
   | Ok (_, records, tail) ->
     Alcotest.(check bool) "rewritten journal is clean" true
@@ -339,12 +358,8 @@ let test_snapshot_ahead_of_journal () =
     Alcotest.(check int) "rewritten journal holds the history" 165
       (List.length records)
   | Error msg -> Alcotest.fail msg);
-  let resumed =
-    Engine.run ~config:(config Variant.Oblivious)
-      ~resume:report.Recovery.resume rules db
-  in
-  check_isomorphic "snapshot recovery" baseline.Engine.instance
-    resumed.Engine.instance;
+  let resumed = resume_run path report rules db in
+  check_same_run "snapshot recovery" baseline resumed;
   cleanup path
 
 let test_resume_continues_journal () =
@@ -358,13 +373,7 @@ let test_resume_continues_journal () =
   | _ -> Alcotest.fail "armed crash did not fire"
   | exception Faults.Crash _ -> ());
   let report = recover_exn ~variant:Variant.Oblivious path rules db in
-  let session = Session.continue_ ~journal:path ~fsync_every:1 report in
-  let resumed =
-    Engine.run ~config:(config Variant.Oblivious)
-      ~resume:report.Recovery.resume
-      ~on_trigger:(Session.on_trigger session) rules db
-  in
-  Session.finish session;
+  let resumed = resume_run path report rules db in
   Alcotest.(check bool) "resumed run terminated" true
     (resumed.Engine.status = Engine.Terminated);
   (* the continued journal now records the complete run *)
@@ -375,20 +384,18 @@ let test_resume_continues_journal () =
     Alcotest.(check int) "continued journal is complete"
       baseline.Engine.triggers_applied (List.length records)
   | Error msg -> Alcotest.fail msg);
-  (* a second recovery replays the whole run; resuming it is a no-op *)
+  (* resuming the finished journal checks every step and appends none *)
+  let before = read_bytes path in
   let report2 = recover_exn ~variant:Variant.Oblivious path rules db in
-  let resumed2 =
-    Engine.run ~config:(config Variant.Oblivious)
-      ~resume:report2.Recovery.resume rules db
-  in
-  Alcotest.(check int) "no new triggers on a finished run"
-    baseline.Engine.triggers_applied resumed2.Engine.triggers_applied;
-  check_isomorphic "doubly recovered" baseline.Engine.instance
-    resumed2.Engine.instance;
+  let resumed2 = resume_run path report2 rules db in
+  check_same_run "doubly recovered" baseline resumed2;
+  Alcotest.(check string) "nothing appended to a finished journal" before
+    (read_bytes path);
   cleanup path
 
 let test_restricted_resume () =
   let rules = rules () and db = db () in
+  let baseline = chase ~variant:Variant.Restricted rules db in
   let path = tmp_journal () in
   (match
      run_journaled ~variant:Variant.Restricted
@@ -397,10 +404,7 @@ let test_restricted_resume () =
   | _ -> Alcotest.fail "armed crash did not fire"
   | exception Faults.Crash _ -> ());
   let report = recover_exn ~variant:Variant.Restricted path rules db in
-  let resumed =
-    Engine.run ~config:(config Variant.Restricted)
-      ~resume:report.Recovery.resume rules db
-  in
+  let resumed = resume_run ~variant:Variant.Restricted path report rules db in
   Alcotest.(check bool) "restricted resume terminated" true
     (resumed.Engine.status = Engine.Terminated);
   Alcotest.(check bool) "restricted resume is a model" true
@@ -408,13 +412,12 @@ let test_restricted_resume () =
   (match Engine.check_provenance resumed ~db with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("restricted provenance: " ^ msg));
+  (* the skip count is exact, not "0 when unknown" *)
+  check_same_run "restricted resume" baseline resumed;
   cleanup path
 
-(* Regression: the resume record carries its counters ([applied_count],
-   [created_count]) instead of the engine re-deriving them with
-   [List.length] on every resume — and a resumed run's final counters
-   must match the uninterrupted run's exactly, at any kill point
-   (including a kill after the very last record). *)
+(* A resumed run's final counters match the uninterrupted run's exactly,
+   at any kill point (including a kill after the very last record). *)
 let test_resume_counters_exact () =
   let rules = rules () and db = db () in
   let baseline = chase rules db in
@@ -428,30 +431,12 @@ let test_resume_counters_exact () =
       | _ -> Alcotest.fail "armed crash did not fire"
       | exception Faults.Crash _ -> ());
       let report = recover_exn ~variant:Variant.Oblivious path rules db in
-      let resume = report.Recovery.resume in
       Alcotest.(check int)
-        (Fmt.str "k=%d: carried applied_count" k)
-        (List.length resume.Engine.applied)
-        resume.Engine.applied_count;
-      Alcotest.(check int)
-        (Fmt.str "k=%d: applied_count = journal records" k)
-        k resume.Engine.applied_count;
-      Alcotest.(check int)
-        (Fmt.str "k=%d: carried created_count" k)
-        (List.length resume.Engine.derivations)
-        resume.Engine.created_count;
-      let resumed =
-        Engine.run ~config:(config Variant.Oblivious) ~resume rules db
-      in
-      Alcotest.(check int)
-        (Fmt.str "k=%d: triggers applied match uninterrupted run" k)
-        baseline.Engine.triggers_applied resumed.Engine.triggers_applied;
-      Alcotest.(check int)
-        (Fmt.str "k=%d: atoms created match uninterrupted run" k)
-        baseline.Engine.atoms_created resumed.Engine.atoms_created;
-      Alcotest.(check int)
-        (Fmt.str "k=%d: nulls created match uninterrupted run" k)
-        baseline.Engine.nulls_created resumed.Engine.nulls_created;
+        (Fmt.str "k=%d: recovered history = journal records" k)
+        k
+        (List.length report.Recovery.history);
+      let resumed = resume_run path report rules db in
+      check_same_run (Fmt.str "k=%d" k) baseline resumed;
       cleanup path)
     [ 1; 17; 83; 164; 165 ]
 
@@ -517,15 +502,10 @@ let test_snapshot_race () =
       (Fmt.str "i=%d k=%d: best valid prefix" i k)
       k
       (List.length report.Recovery.history);
-    let resumed =
-      Engine.run ~config:(config Variant.Oblivious)
-        ~resume:report.Recovery.resume rules db
-    in
+    let resumed = resume_run path report rules db in
     Alcotest.(check bool) (Fmt.str "i=%d k=%d: terminated" i k) true
       (resumed.Engine.status = Engine.Terminated);
-    check_isomorphic
-      (Fmt.str "i=%d k=%d" i k)
-      baseline.Engine.instance resumed.Engine.instance;
+    check_same_run (Fmt.str "i=%d k=%d" i k) baseline resumed;
     if Sys.file_exists tmp then Sys.remove tmp;
     cleanup path
   done
@@ -546,12 +526,8 @@ let test_snapshot_race_ahead () =
   in
   Alcotest.(check int) "snapshot prefix wins" 165
     (List.length report.Recovery.history);
-  let resumed =
-    Engine.run ~config:(config Variant.Oblivious)
-      ~resume:report.Recovery.resume rules db
-  in
-  check_isomorphic "snapshot-ahead race" baseline.Engine.instance
-    resumed.Engine.instance;
+  let resumed = resume_run path report rules db in
+  check_same_run "snapshot-ahead race" baseline resumed;
   Sys.remove (spath ^ ".tmp");
   cleanup path
 
@@ -635,14 +611,8 @@ let test_fsync_fail () =
   let report = recover_exn ~variant:Variant.Oblivious path rules db in
   Alcotest.(check bool) "some prefix survived" true
     (List.length report.Recovery.history >= 1);
-  let resumed =
-    Engine.run ~config:(config Variant.Oblivious)
-      ~resume:report.Recovery.resume rules db
-  in
-  Alcotest.(check int) "resumed to the full run"
-    baseline.Engine.triggers_applied resumed.Engine.triggers_applied;
-  check_isomorphic "fsync-fail recovery" baseline.Engine.instance
-    resumed.Engine.instance;
+  let resumed = resume_run path report rules db in
+  check_same_run "fsync-fail recovery" baseline resumed;
   cleanup path
 
 let test_recover_wrong_program () =
@@ -664,28 +634,211 @@ let test_recover_wrong_program () =
           ~db:[ fact "e(z, z)" ] ()));
   cleanup path
 
+(* ------------------------------------------------------------------ *)
+(* Resuming through the CLI driver                                     *)
+(* ------------------------------------------------------------------ *)
+
+(** The workload above as a program file. *)
+let tc_src =
+  "tc: e(X, Y), e(Y, Z) -> e(X, Z).\nmk: e(X, Y) -> r(X, W).\n"
+  ^ String.concat " " (List.init 9 (fun i -> Fmt.str "e(a%d, a%d)." i (i + 1)))
+
+(** Run [chase] on [src] as the CLI does: exit code, stdout, stderr. *)
+let drive ?journal ?resume ?(critical = false) ?budget ~variant src =
+  let ob = Buffer.create 4096 and eb = Buffer.create 256 in
+  let out = Format.formatter_of_buffer ob
+  and err = Format.formatter_of_buffer eb in
+  let o =
+    Driver.chase_opts ~variant ?budget ~critical ?journal ?resume ()
+  in
+  let code = Driver.chase o ~file:"prog.chase" ~src ~out ~err in
+  Format.pp_print_flush out ();
+  Format.pp_print_flush err ();
+  (code, Buffer.contents ob, Buffer.contents eb)
+
+(* Kill a journaled run at its first, middle and last record (and at
+   the extra points listed, where the run has them), resume it with the
+   same options, and demand the uninterrupted run's stdout and journal,
+   byte for byte.  Budget-exhausted runs print counts (facts, nulls,
+   depth, restricted skips) that depend on the exact worklist order, so
+   any resume that does not reproduce the run step for step shows. *)
+let test_kill_point_sweep () =
+  let cases =
+    [
+      (* the terminating workload, also killed one record before its
+         end *)
+      ("tc", tc_src, false, None, [ 10; 17; 164 ]);
+      ("divergent_zoo", read_data "divergent_zoo.chase", true, Some 300, []);
+      ("genealogy", read_data "genealogy.chase", true, Some 3000, [ 1000 ]);
+      (* the restricted chase of a critical instance applies nothing;
+         from these facts it exhausts its budget too *)
+      ( "divergent_zoo + facts",
+        read_data "divergent_zoo.chase" ^ "\np(a, b). r(a, b). marked(b).\n",
+        false, Some 300, [] );
+    ]
+  in
+  List.iter
+    (fun (name, src, critical, budget, extra) ->
+      List.iter
+        (fun variant ->
+          let full = tmp_journal () in
+          let code, out, _ =
+            drive ~journal:full ~critical ?budget ~variant src
+          in
+          let n =
+            match Journal.read full with
+            | Ok (_, records, _) -> List.length records
+            | Error msg -> Alcotest.fail msg
+          in
+          List.iter
+            (fun k ->
+              let what =
+                Fmt.str "%s %a k=%d/%d" name Variant.pp variant k n
+              in
+              let path = tmp_journal () in
+              Faults.Writes.arm path [ Faults.Kill_after_record k ];
+              (match drive ~journal:path ~critical ?budget ~variant src with
+              | _ -> Alcotest.fail (what ^ ": armed crash did not fire")
+              | exception Faults.Crash _ -> ());
+              Faults.Writes.disarm path;
+              let code', out', _ =
+                drive ~resume:path ~critical ?budget ~variant src
+              in
+              Alcotest.(check int) (what ^ ": exit code") code code';
+              Alcotest.(check string) (what ^ ": stdout") out out';
+              Alcotest.(check bool) (what ^ ": journal bytes") true
+                (String.equal (read_bytes full) (read_bytes path));
+              cleanup path)
+            (List.filter
+               (fun k -> k >= 1 && k <= n)
+               (List.sort_uniq Int.compare ([ 1; (n + 1) / 2; n ] @ extra)));
+          cleanup full)
+        [ Variant.Oblivious; Variant.Semi_oblivious; Variant.Restricted ])
+    cases
+
+(* Every way a journal can disagree with the chase it claims to record
+   is refused — by a resume, which exits 2 with the record number and
+   appends nothing, and by a standby's certification, which never
+   touches the spool. *)
 let test_replay_rejects_tampering () =
   let rules = rules () and db = db () in
-  let path = tmp_journal () in
-  let _ = run_journaled path rules db in
-  match Journal.read path with
-  | Error msg -> Alcotest.fail msg
-  | Ok (_, records, _) ->
-    (* a journal whose recorded creations disagree with what the rules
-       actually derive must not replay *)
-    let tamper sr =
-      { sr with Codec.created_atoms = [ fact "bogus(x)" ] }
+  let full = tmp_journal () in
+  let _ = run_journaled full rules db in
+  let header, records =
+    match Journal.read full with
+    | Ok (h, records, _) -> (h, records)
+    | Error msg -> Alcotest.fail msg
+  in
+  let at i f = List.mapi (fun j sr -> if j = i then f sr else sr) records in
+  let nulls_at =
+    let rec go i = function
+      | [] -> Alcotest.fail "no record invents a null"
+      | sr :: rest ->
+        if sr.Codec.created_nulls <> [] then i else go (i + 1) rest
     in
-    let tampered =
-      List.mapi (fun i sr -> if i = 4 then tamper sr else sr) records
-    in
-    Alcotest.(check bool) "tampered creations rejected" true
-      (Result.is_error (Recovery.replay ~rules ~db tampered));
-    (* a gap in the step numbering must not replay either *)
-    let gappy = List.filteri (fun i _ -> i <> 2) records in
-    Alcotest.(check bool) "gappy history rejected" true
-      (Result.is_error (Recovery.replay ~rules ~db gappy));
-    cleanup path
+    go 0 records
+  in
+  let last = List.nth records (List.length records - 1) in
+  let consts sub =
+    Subst.of_list
+      (List.map (fun (v, _) -> (v, Term.Const "zz")) (Subst.to_list sub))
+  in
+  let cases =
+    [
+      ( "step gap",
+        List.filteri (fun i _ -> i <> 2) records,
+        "journal record 3: step" );
+      ( "rule index out of range",
+        at 4 (fun sr -> { sr with Codec.rule_index = 7 }),
+        "journal record 5: rule index" );
+      ( "rule name",
+        at 4 (fun sr -> { sr with Codec.rule_name = "nope" }),
+        "journal record 5: rule name" );
+      ( "homomorphism",
+        at 4 (fun sr -> { sr with Codec.hom = consts sr.Codec.hom }),
+        "journal record 5: homomorphism" );
+      ( "depth",
+        at 4 (fun sr -> { sr with Codec.depth = sr.Codec.depth + 1 }),
+        "journal record 5: depth" );
+      ( "null stamps",
+        at nulls_at (fun sr ->
+            {
+              sr with
+              Codec.created_nulls = List.map (( + ) 1000) sr.Codec.created_nulls;
+            }),
+        Fmt.str "journal record %d: null stamps" (nulls_at + 1) );
+      ( "created atoms",
+        at 4 (fun sr -> { sr with Codec.created_atoms = [ fact "bogus(x)" ] }),
+        "journal record 5: created atoms" );
+      ( "records past a terminated run",
+        records @ [ { last with Codec.step = last.Codec.step + 1 } ],
+        Fmt.str "journal record %d: the chase terminated"
+          (last.Codec.step + 1) );
+    ]
+  in
+  (* a one-request spool for the standby's certification *)
+  let spool =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Fmt.str "chase_test_%d_spool" (Unix.getpid ()))
+  in
+  (try Unix.mkdir spool 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let jnl = Filename.concat spool "t.jnl"
+  and req = Filename.concat spool "t.req" in
+  let oc = open_out_bin req in
+  output_string oc
+    (Proto.encode_request
+       (Proto.request ~program:tc_src ~variant:"oblivious" Proto.Chase));
+  close_out oc;
+  (* The journal reader ends a journal at a step gap (a torn tail), so
+     a gappy history reaches the check through a snapshot ahead of the
+     journal. *)
+  let plant name history =
+    cleanup jnl;
+    if name = "step gap" then begin
+      Journal.rewrite jnl header [];
+      Snapshot.write (Session.snapshot_path jnl)
+        { Snapshot.header; last_step = List.length records; records = history }
+    end
+    else Journal.rewrite jnl header history
+  in
+  List.iter
+    (fun (name, history, expected) ->
+      plant name history;
+      let before = read_bytes jnl in
+      (match Receiver.certify_one ~spool_dir:spool "t.jnl" with
+      | Some (Error msg) ->
+        Alcotest.(check bool)
+          (Fmt.str "%s: certification names %S (got %S)" name expected msg)
+          true (contains msg expected)
+      | Some (Ok _) -> Alcotest.failf "%s: certified a tampered journal" name
+      | None -> Alcotest.failf "%s: request not found" name);
+      Alcotest.(check string)
+        (name ^ ": certification leaves the journal")
+        before (read_bytes jnl);
+      let code, out, err = drive ~resume:jnl ~variant:Variant.Oblivious tc_src in
+      Alcotest.(check int) (name ^ ": resume exits 2") 2 code;
+      Alcotest.(check string) (name ^ ": nothing printed") "" out;
+      Alcotest.(check bool)
+        (Fmt.str "%s: resume names %S (got %S)" name expected err)
+        true
+        (contains err ("cannot resume: " ^ expected));
+      Alcotest.(check string) (name ^ ": nothing appended") before
+        (read_bytes jnl))
+    cases;
+  (* the untampered journal certifies, and resumes appending nothing *)
+  plant "untampered" records;
+  Alcotest.(check bool) "untampered journal certifies" true
+    (Receiver.certify_one ~spool_dir:spool "t.jnl"
+    = Some (Ok (List.length records)));
+  let code, _, _ = drive ~resume:jnl ~variant:Variant.Oblivious tc_src in
+  Alcotest.(check int) "untampered journal resumes" 0 code;
+  Alcotest.(check string) "untampered journal unchanged" (read_bytes full)
+    (read_bytes jnl);
+  cleanup jnl;
+  cleanup full;
+  Sys.remove req;
+  Sys.rmdir spool
 
 let suite =
   [
@@ -711,6 +864,9 @@ let suite =
     Alcotest.test_case "restricted-chase resume" `Quick test_restricted_resume;
     Alcotest.test_case "resume counters match the uninterrupted run" `Quick
       test_resume_counters_exact;
+    Alcotest.test_case
+      "kill-point sweep: resumed stdout and journal = uninterrupted" `Quick
+      test_kill_point_sweep;
     Alcotest.test_case "wrong program/variant/db refused" `Quick
       test_recover_wrong_program;
     Alcotest.test_case "replay rejects tampered histories" `Quick

@@ -649,8 +649,13 @@ let test_server_boot_recovery () =
   Spool.put_request s ~key (Proto.encode_request req);
   Alcotest.(check (list string)) "acknowledged, unanswered" [ key ]
     (Spool.pending s);
-  (* boot: recovery must complete it without any client *)
-  let server = Server.start (Server.config ~spool_dir socket) in
+  (* boot: recovery must complete it without any client, and without
+     writing or shipping the request again — only its response *)
+  let durable = ref [] in
+  let on_durable what ~key ~trace:_ _ =
+    durable := (what, key) :: !durable
+  in
+  let server = Server.start (Server.config ~spool_dir ~on_durable socket) in
   let rec await n =
     if Spool.has_response s ~key then ()
     else if n = 0 then Alcotest.fail "boot recovery never answered"
@@ -660,6 +665,16 @@ let test_server_boot_recovery () =
     end
   in
   await 100;
+  (* the hook runs just after the response reaches the spool *)
+  let rec settle n =
+    if !durable = [] && n > 0 then begin
+      Thread.delay 0.01;
+      settle (n - 1)
+    end
+  in
+  settle 100;
+  Alcotest.(check bool) "recovery ships the response, not the request" true
+    (!durable = [ (`Resp, key) ]);
   (* and a client retry of the same request is served the spooled bytes *)
   let r = call_ok socket req in
   Alcotest.(check bool) "served from spool" true r.Proto.cached;

@@ -70,5 +70,13 @@ let hom_equivalent i1 i2 =
   Option.is_some (Hom.instance_hom i1 i2)
   && Option.is_some (Hom.instance_hom i2 i1)
 
+(** [contains hay needle]: [needle] occurs in [hay]. *)
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
