@@ -1,24 +1,20 @@
-(** The verdict explainer: run the termination front door and surface the
-    {e cause} of a non-termination answer as diagnostics with
-    machine-checkable witnesses.
+(** The verdict explainer: decide with {!Chase_termination.Decide.check}
+    and render the divergence witness the verdict carries
+    ({!Chase_termination.Verdict.witness}) as a diagnostic with a
+    machine-checkable witness.  No procedure runs twice: the verdict and
+    its cause come from one decision, so the verdict here is the verdict
+    the [termination] CLI prints, evidence included.
 
-    The dispatch mirrors {!Chase_termination.Decide.check} exactly — same
-    classification, same procedures, same budgets — so the verdict here
-    is the verdict the [termination] CLI prints.  What is added is the
-    causal reading:
-
-    - simple linear, diverging: the dangerous cycle of the (extended)
-      dependency graph as a [W020] — on simple linear rules every such
-      cycle is realizable (Theorem 1), which is why [W020] explains a
-      verdict rather than merely flagging a risk;
-    - linear, diverging: the confirmed pump of the critical-instance
-      procedure (Theorem 2) as a [W021], with one lap replayed into a
-      concrete fact chain and its realizing substitution
+    - a dangerous cycle (simple linear, Theorem 1) renders as a [W020] —
+      on simple linear rules every such cycle is realizable, which is why
+      [W020] explains a verdict rather than merely flagging a risk;
+    - a linear pump (Theorem 2) renders as a [W021], with one lap
+      replayed into a concrete fact chain and its realizing substitution
       ({!Chase_acyclicity.Critical_linear.realize});
-    - guarded, diverging: the recurring cloud type along a guard chain
-      (Theorem 4) as a [W021] with a guard-chain witness;
-    - anything else (terminating, unknown, unguarded, restricted): the
-      verdict alone — no diagnostic is fabricated without a witness.
+    - a guard chain (guarded, Theorem 4) renders as a [W021] with a
+      guard-chain witness;
+    - a verdict without a witness (terminating, unknown, unguarded,
+      restricted) gets no diagnostic — none is fabricated.
 
     Consequently a [Diverges] answer for a (simple) linear or guarded set
     always comes with exactly one warning whose witness realizes it, and
@@ -39,5 +35,5 @@ val check :
   (Tgd.t * int) list ->
   t
 (** [standard] (default true) includes the constants 0, 1 in the critical
-    instance; [budget] bounds the guarded forest search (default
-    {!Chase_termination.Guarded.default_budget}). *)
+    instance; [budget] is {!Chase_termination.Decide.check}'s trigger
+    budget (default {!Chase_termination.Guarded.default_budget}). *)

@@ -58,31 +58,7 @@ let sufficient_acyclicity ~variant rules =
               terminates on every database")
     else None
   | Restricted ->
-    if Weak.is_weakly_acyclic rules then
-      Some
-        (Verdict.terminates ~procedure:"weak-acyclicity (sufficient)"
-           ~evidence:
-             "weakly acyclic: every chase variant below the oblivious chase \
-              terminates on every database")
-    else if Joint.is_jointly_acyclic rules then
-      Some
-        (Verdict.terminates ~procedure:"joint-acyclicity (sufficient)"
-           ~evidence:
-             "jointly acyclic: the semi-oblivious and hence the restricted \
-              chase terminate on every database")
-    else if Super_weak.is_super_weakly_acyclic rules then
-      Some
-        (Verdict.terminates ~procedure:"super-weak-acyclicity (sufficient)"
-           ~evidence:
-             "super-weakly acyclic: the semi-oblivious and hence the \
-              restricted chase terminate on every database")
-    else if Chase_strata.Strata.is_safe rules then
-      Some
-        (Verdict.terminates ~procedure:"stratification (sufficient)"
-           ~evidence:
-             "safely stratified: the semi-oblivious and hence the \
-              restricted chase terminate on every database")
-    else None
+    invalid_arg "Decide: the restricted chase is decided by Restricted.check"
 
 let check ?standard ?budget ?limits ?watchdog ?(obs = Chase_obs.Obs.disabled)
     ~variant rules =

@@ -281,7 +281,14 @@ let check ?(standard = true) ?(budget = default_budget) ?limits
       | Some pump ->
         let shown = List.filteri (fun i _ -> i < 4) pump.occurrences in
         let elided = List.length pump.occurrences - List.length shown in
-        Verdict.diverges ~procedure:"guarded-types"
+        Verdict.diverges
+          ~witness:
+            (Verdict.Guard_chain
+               {
+                 occurrences = pump.occurrences;
+                 chain_length = pump.chain_length;
+               })
+          ~procedure:"guarded-types"
           ~evidence:
             (Fmt.str
                "recurring cloud type along one guard chain (%d occurrences, \
@@ -291,6 +298,7 @@ let check ?(standard = true) ?(budget = default_budget) ?limits
                (Util.pp_list " ⇝ " Atom.pp)
                shown
                (if elided > 0 then Fmt.str " ⇝ … (%d more)" elided else ""))
+          ()
       | None ->
         Verdict.unknown ~procedure:"guarded-types"
           ~evidence:

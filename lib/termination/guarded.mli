@@ -38,5 +38,6 @@ val check :
   Verdict.t
 (** [limits] overrides the budget-derived defaults (deadline,
     cancellation, …); [obs] flows into the critical-instance chase and
-    the pump search.
+    the pump search.  A divergence verdict carries its pump
+    ({!Verdict.Guard_chain}).
     @raise Invalid_argument if the set is not guarded. *)

@@ -9,37 +9,32 @@ open Chase_engine
 open Chase_acyclicity
 
 let check ?(standard = true) ~variant rules =
-  match (variant : Variant.t) with
-  | Oblivious -> (
-    match Critical_linear.check_oblivious ~standard rules with
-    | Critical_linear.Terminating ->
-      Verdict.terminates ~procedure:"critical-rich-acyclicity"
-        ~evidence:
-          "no productive lasso in the pattern-transition system, and the \
-           chase of the critical instance closes"
-    | Critical_linear.Non_terminating cert ->
-      Verdict.diverges ~procedure:"critical-rich-acyclicity"
-        ~evidence:
-          (Fmt.str "confirmed pump (%d laps replayed): %a" cert.laps_checked
-             (Critical_linear.pp_certificate rules)
-             cert)
-    | Critical_linear.Inconclusive msg ->
-      Verdict.unknown ~procedure:"critical-rich-acyclicity" ~evidence:msg)
-  | Semi_oblivious -> (
-    match Critical_linear.check_semi_oblivious ~standard rules with
-    | Critical_linear.Terminating ->
-      Verdict.terminates ~procedure:"critical-weak-acyclicity"
-        ~evidence:
-          "no cycle of frontier-productive transitions in the \
-           pattern-transition system, and the chase of the critical \
-           instance closes"
-    | Critical_linear.Non_terminating cert ->
-      Verdict.diverges ~procedure:"critical-weak-acyclicity"
-        ~evidence:
-          (Fmt.str "confirmed pump (%d laps replayed): %a" cert.laps_checked
-             (Critical_linear.pp_certificate rules)
-             cert)
-    | Critical_linear.Inconclusive msg ->
-      Verdict.unknown ~procedure:"critical-weak-acyclicity" ~evidence:msg)
-  | Restricted ->
-    invalid_arg "Linear.check: Theorem 2 covers the (semi-)oblivious chase only"
+  let procedure, no_lasso, outcome =
+    match (variant : Variant.t) with
+    | Oblivious ->
+      ( "critical-rich-acyclicity",
+        "no productive lasso",
+        Critical_linear.check_oblivious ~standard rules )
+    | Semi_oblivious ->
+      ( "critical-weak-acyclicity",
+        "no cycle of frontier-productive transitions",
+        Critical_linear.check_semi_oblivious ~standard rules )
+    | Restricted ->
+      invalid_arg
+        "Linear.check: Theorem 2 covers the (semi-)oblivious chase only"
+  in
+  match outcome with
+  | Critical_linear.Terminating ->
+    Verdict.terminates ~procedure
+      ~evidence:
+        (no_lasso
+       ^ " in the pattern-transition system, and the chase of the critical \
+          instance closes")
+  | Critical_linear.Non_terminating cert ->
+    Verdict.diverges ~witness:(Verdict.Linear_pump cert) ~procedure
+      ~evidence:
+        (Fmt.str "confirmed pump (%d laps replayed): %a" cert.laps_checked
+           (Critical_linear.pp_certificate rules)
+           cert)
+      ()
+  | Critical_linear.Inconclusive msg -> Verdict.unknown ~procedure ~evidence:msg

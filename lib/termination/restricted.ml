@@ -75,6 +75,7 @@ let check ?(budget = default_budget) ?limits ?obs rules =
              (Instance.cardinal on_generic.Engine.instance)
              on_generic.Engine.max_depth
              (Limits.Exhaustion.diagnosis reason))
+        ()
     | Engine.Terminated ->
       if Chase_classes.Classify.is_single_head rules
          && Chase_classes.Classify.is_linear rules

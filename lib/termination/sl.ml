@@ -24,31 +24,26 @@ let pp_cycle fm cycle =
 
 let check ~variant rules =
   require_simple_linear rules;
-  match (variant : Variant.t) with
-  | Oblivious -> (
-    match Rich.check rules with
-    | None ->
-      Verdict.terminates ~procedure:"rich-acyclicity"
-        ~evidence:
-          "the extended dependency graph has no cycle through a special edge"
-    | Some cycle ->
-      Verdict.diverges ~procedure:"rich-acyclicity"
-        ~evidence:
-          (Fmt.str
-             "dangerous cycle in the extended dependency graph: %a — on \
-              simple linear rules every such cycle is realizable (Thm 1)"
-             pp_cycle cycle))
-  | Semi_oblivious -> (
-    match Weak.check rules with
-    | None ->
-      Verdict.terminates ~procedure:"weak-acyclicity"
-        ~evidence:"the dependency graph has no cycle through a special edge"
-    | Some cycle ->
-      Verdict.diverges ~procedure:"weak-acyclicity"
-        ~evidence:
-          (Fmt.str
-             "dangerous cycle in the dependency graph: %a — on simple linear \
-              rules every such cycle is realizable (Thm 1)"
-             pp_cycle cycle))
-  | Restricted ->
-    invalid_arg "Sl.check: Theorem 1 covers the (semi-)oblivious chase only"
+  let procedure, graph, cycle =
+    match (variant : Variant.t) with
+    | Oblivious -> ("rich-acyclicity", "extended-dependency", Rich.check rules)
+    | Semi_oblivious -> ("weak-acyclicity", "dependency", Weak.check rules)
+    | Restricted ->
+      invalid_arg "Sl.check: Theorem 1 covers the (semi-)oblivious chase only"
+  in
+  let graph_name = String.map (function '-' -> ' ' | c -> c) graph in
+  match cycle with
+  | None ->
+    Verdict.terminates ~procedure
+      ~evidence:
+        (Fmt.str "the %s graph has no cycle through a special edge" graph_name)
+  | Some positions ->
+    Verdict.diverges
+      ~witness:(Verdict.Dangerous_cycle { graph; positions })
+      ~procedure
+      ~evidence:
+        (Fmt.str
+           "dangerous cycle in the %s graph: %a — on simple linear rules \
+            every such cycle is realizable (Thm 1)"
+           graph_name pp_cycle positions)
+      ()

@@ -1,26 +1,44 @@
 (** Verdicts of the termination checkers.
 
-    A verdict records the answer, which procedure produced it, and a
+    A verdict records the answer, which procedure produced it, a
     human-readable account of the evidence (an acyclicity certificate, a
-    pumping cycle, a closed chase, …).  [Diverges] and [Terminates] are
-    only produced with evidence; a checker that runs out of budget or of
-    applicable theory answers [Unknown]. *)
+    pumping cycle, a closed chase, …) and, for the divergence proofs of
+    the exact procedures, the proof itself as a typed witness.
+    [Diverges] and [Terminates] are only produced with evidence; a
+    checker that runs out of budget or of applicable theory answers
+    [Unknown]. *)
 
 type answer =
   | Terminates
   | Diverges
   | Unknown
 
+type witness =
+  | Dangerous_cycle of {
+      graph : string;
+      positions : (string * int) list;
+    }
+  | Linear_pump of Chase_acyclicity.Critical_linear.certificate
+  | Guard_chain of {
+      occurrences : Chase_logic.Atom.t list;
+      chain_length : int;
+    }
+
 type t = {
   answer : answer;
   procedure : string;  (** e.g. "rich-acyclicity", "critical-linear" *)
   evidence : string;
+  witness : witness option;
 }
 
-let make answer ~procedure ~evidence = { answer; procedure; evidence }
+let make answer ~procedure ~evidence =
+  { answer; procedure; evidence; witness = None }
+
 let terminates = make Terminates
-let diverges = make Diverges
 let unknown = make Unknown
+
+let diverges ?witness ~procedure ~evidence () =
+  { (make Diverges ~procedure ~evidence) with witness }
 
 let answer v = v.answer
 let is_terminating v = v.answer = Terminates

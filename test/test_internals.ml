@@ -140,7 +140,7 @@ let test_variant_parsing () =
   Alcotest.(check bool) "garbage rejected" true (Variant.of_string "frisky" = None)
 
 let test_verdict_accessors () =
-  let v = Verdict.diverges ~procedure:"test" ~evidence:"because" in
+  let v = Verdict.diverges ~procedure:"test" ~evidence:"because" () in
   Alcotest.(check bool) "diverging" true (Verdict.is_diverging v);
   Alcotest.(check bool) "not terminating" false (Verdict.is_terminating v);
   Alcotest.(check bool) "pp mentions procedure" true

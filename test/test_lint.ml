@@ -390,6 +390,10 @@ let agreement ~variant ~seeds gen =
         (Fmt.str "seed %d: explainer answer agrees with Decide" seed)
         (Verdict.answer_to_string (Verdict.answer d))
         (Verdict.answer_to_string (Verdict.answer e.Explain.verdict));
+      Alcotest.(check string)
+        (Fmt.str "seed %d: explainer procedure and evidence are Decide's" seed)
+        (Verdict.to_string d)
+        (Verdict.to_string e.Explain.verdict);
       let has_warning = List.exists Diagnostic.is_warning e.Explain.diagnostics in
       Alcotest.(check bool)
         (Fmt.str "seed %d: warning iff diverging" seed)
@@ -408,6 +412,24 @@ let test_agreement_linear_o () =
 let test_agreement_guarded_so () =
   agreement ~variant:Variant.Semi_oblivious ~seeds:30 (fun ~seed ->
       Random_tgds.guarded ~seed ())
+
+(* Explaining a verdict is deciding it once: the witness comes with the
+   verdict, so Explain does no matching of its own. *)
+let test_explain_costs_one_decision () =
+  let rules = Families.guarded_divergent ~arity:3 in
+  let variant = Variant.Semi_oblivious in
+  let candidates f =
+    let before = Hom.Stats.snapshot () in
+    ignore (f ());
+    (Hom.Stats.diff before (Hom.Stats.snapshot ())).Hom.Stats.candidates
+  in
+  let decided = candidates (fun () -> Decide.check ~variant rules) in
+  let explained =
+    candidates (fun () -> (Explain.check ~variant (located rules)).Explain.verdict)
+  in
+  Alcotest.(check bool) "the decision matches" true (decided > 0);
+  Alcotest.(check int) "explain matches as much as one decision" decided
+    explained
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz: the lint battery never raises                                 *)
@@ -472,6 +494,8 @@ let suite =
       test_agreement_linear_o;
     Alcotest.test_case "agreement: guarded, so, 30 seeds" `Slow
       test_agreement_guarded_so;
+    Alcotest.test_case "explaining costs one decision" `Quick
+      test_explain_costs_one_decision;
     fuzz_token_soup;
     fuzz_mutated_corpora;
     fuzz_random_rules;
