@@ -21,8 +21,10 @@ smoke:
 	dune runtest cram
 
 # trace-enabled smoke chase: one observed run over the shipped corpus,
-# then validate the emitted files (well-formed JSON, span balance,
-# schema header) with the obs-check tool
+# then validate the emitted files with the obs-check tool: the trace as
+# a tree of span records (one root, every parent resolvable), the
+# metrics file by its schema header.  Every trace this Makefile checks
+# goes through the same `obs_check --trace`.
 obs-smoke: build
 	dune exec bin/chase_cli.exe -- data/company_mapping.chase -q --profile \
 	  --trace _build/obs_smoke.trace.json \
@@ -34,7 +36,8 @@ obs-smoke: build
 # concurrent durable traffic, then boot recovery, byte-parity replay and
 # a graceful life whose metrics file must validate.  Wall-clock bounded;
 # CI runs SOAK_SECONDS=60.  The soak's traced replays leave per-process
-# trace shards; merge them and validate the trace tree too.
+# trace shards; merge them and validate the trace tree with the same
+# `obs_check --trace` as obs-smoke.
 SOAK_SECONDS ?= 20
 soak: build
 	dune exec test/soak/soak.exe -- \
@@ -44,14 +47,14 @@ soak: build
 	dune exec bin/chasec.exe -- trace-merge \
 	  _build/soak/client.trace _build/soak/chased.trace \
 	  > _build/soak/trace-merged.json
-	dune exec bin/obs_check.exe -- --trace _build/soak/trace-merged.json \
-	  --tracectx _build/soak/trace-merged.json
+	dune exec bin/obs_check.exe -- --trace _build/soak/trace-merged.json
 
 # replicated failover soak: a real primary/standby chased pair, SIGKILL
 # loops against the primary with durable traffic in flight, a wire-level
 # promotion by the failover client, zero-lost-acks + byte-parity audit,
 # and the standby receiver's metrics file (replication lag histograms
-# included) validated by obs_check.  CI runs SOAK_SECONDS=60.
+# included) validated by obs_check, and the merged audit trace by the
+# same `obs_check --trace`.  CI runs SOAK_SECONDS=60.
 soak-failover: build
 	dune exec test/soak/soak_failover.exe -- \
 	  --daemon _build/default/bin/chased.exe \
@@ -60,8 +63,7 @@ soak-failover: build
 	dune exec bin/chasec.exe -- trace-merge \
 	  _build/soak-failover/client.trace _build/soak-failover/standby.trace \
 	  > _build/soak-failover/trace-merged.json
-	dune exec bin/obs_check.exe -- --trace _build/soak-failover/trace-merged.json \
-	  --tracectx _build/soak-failover/trace-merged.json
+	dune exec bin/obs_check.exe -- --trace _build/soak-failover/trace-merged.json
 
 # static diagnostics over the shipped corpus: errors or warnings fail
 lint: build

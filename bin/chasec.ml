@@ -135,19 +135,11 @@ let run socket servers op_s file variant budget timeout quiet durable
               Fmt.epr "chasec: %a@." Proto.pp_response resp;
               70 (* EX_SOFTWARE *)))
       in
-      (match (trace_out, root) with
-      | Some path, Some ctx ->
-        let w = Tracectx.Shard.open_ ~proc:"chasec" path in
-        Tracectx.Shard.span w ~ctx ~name:"client.request" ~ts_us:t0_us
-          ~dur_us:(Tracectx.now_us () -. t0_us)
-          ~args:
-            [
-              ("op", Jsonv.String op_s);
-              ("exit", Jsonv.Int code);
-            ]
-          ();
-        Tracectx.Shard.close w
-      | _ -> ());
+      let shard = Option.map (Tracectx.Shard.open_ ~proc:"chasec") trace_out in
+      Tracectx.span shard ?ctx:root ~since:t0_us
+        ~args:(fun () -> [ ("op", Jsonv.String op_s); ("exit", Jsonv.Int code) ])
+        "client.request" ignore;
+      Option.iter Tracectx.Shard.close shard;
       code)
 
 let socket_arg =
@@ -281,8 +273,7 @@ let run_merge shards =
   in
   if !errors > 0 then 66 (* EX_NOINPUT *)
   else begin
-    print_string (Jsonv.to_string (Tracectx.merge_to_chrome records));
-    print_newline ();
+    Tracectx.merge_to_chrome print_string records;
     0
   end
 

@@ -1,20 +1,19 @@
 (** [obs-check] — validate observability output files.
 
-    A small CI checker for the files the CLIs emit: [--trace FILE]
-    verifies a Chrome trace-event file (well-formed JSON, a non-empty
-    top-level array, every event carries name/ph/ts, begin/end events
-    balance as a stack), [--metrics FILE] verifies a metrics JSONL file
-    (a [chase-metrics/1] schema header first, every line parses, at
-    least one summary line follows).
-
-    Distributed-tracing additions: [--tracectx FILE] verifies a merged
-    Chrome trace (as produced by [chasec trace-merge]) as a {e trace
-    tree} — every trace id has exactly one root span, every child's
-    parent exists in the same trace, and no child starts before its
-    root (within clock slack; spans shipped asynchronously to the
-    standby may {e end} after the root ends, which is legal).
-    [--telemetry FILE] verifies a [chase-telemetry/1] JSON snapshot;
-    [--prom FILE] verifies Prometheus text-exposition syntax.
+    A small CI checker for the files the CLIs emit.  [--trace FILE]
+    verifies a Chrome trace — a CLI's [--trace] file or a merged one
+    from [chasec trace-merge], both rendered from span records — as a
+    {e trace tree}: well-formed JSON, a top-level array of [M], [X] and
+    [C] events each carrying name/ph/ts, every [X] event naming its
+    trace and span in its args, every trace id with exactly one root
+    span, every child's parent present in the same trace, and no child
+    starting before its root (within clock slack; spans shipped
+    asynchronously to the standby may {e end} after the root ends,
+    which is legal).  [--metrics FILE] verifies a metrics JSONL file (a
+    [chase-metrics/1] schema header first, every line parses, at least
+    one summary line follows).  [--telemetry FILE] verifies a
+    [chase-telemetry/1] JSON snapshot; [--prom FILE] verifies
+    Prometheus text-exposition syntax.
 
     Exit 0 when every checked file is valid, 1 otherwise. *)
 
@@ -29,55 +28,6 @@ let read_file path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> Ok (really_input_string ic (in_channel_length ic)))
   with Sys_error msg -> Error msg
-
-(* One trace event: name/ph/ts present and of the right shape; returns
-   [ph] so the caller can stack-balance B against E. *)
-let check_event i (ev : Jsonv.t) =
-  match ev with
-  | Jsonv.Obj _ -> (
-    let str k = Option.bind (Jsonv.member k ev) Jsonv.to_string_opt in
-    let num k = Option.bind (Jsonv.member k ev) Jsonv.to_float_opt in
-    match (str "name", str "ph", num "ts") with
-    | Some name, Some ph, Some _ -> Ok (name, ph)
-    | None, _, _ -> fail "event %d: missing or non-string \"name\"" i
-    | _, None, _ -> fail "event %d: missing or non-string \"ph\"" i
-    | _, _, None -> fail "event %d: missing or non-numeric \"ts\"" i)
-  | _ -> fail "event %d: not a JSON object" i
-
-let check_trace path =
-  match read_file path with
-  | Error msg -> fail "%s: cannot read: %s" path msg
-  | Ok src -> (
-    match Jsonv.of_string src with
-    | Error msg -> fail "%s: invalid JSON: %s" path msg
-    | Ok (Jsonv.List []) -> fail "%s: empty trace (no events)" path
-    | Ok (Jsonv.List events) -> (
-      let rec walk i stack = function
-        | [] -> (
-          match stack with
-          | [] -> Ok (List.length events)
-          | name :: _ -> fail "%s: unclosed span %S at end of trace" path name)
-        | ev :: rest -> (
-          match check_event i ev with
-          | Error msg -> fail "%s: %s" path msg
-          | Ok (name, "B") -> walk (i + 1) (name :: stack) rest
-          | Ok (name, "E") -> (
-            match stack with
-            | top :: below when String.equal top name ->
-              walk (i + 1) below rest
-            | top :: _ ->
-              fail "%s: event %d: end of %S but %S is open" path i name top
-            | [] -> fail "%s: event %d: end of %S with no open span" path i
-                      name)
-          | Ok (_, ("i" | "C" | "X" | "M")) -> walk (i + 1) stack rest
-          | Ok (_, ph) -> fail "%s: event %d: unknown phase %S" path i ph)
-      in
-      match walk 0 [] events with
-      | Error _ as e -> e
-      | Ok n ->
-        Printf.printf "trace OK: %s (%d events, spans balanced)\n" path n;
-        Ok ())
-    | Ok _ -> fail "%s: top level is not a JSON array" path)
 
 let check_metrics path =
   match read_file path with
@@ -122,10 +72,10 @@ let check_metrics path =
             (List.length lines);
           Ok ()))
 
-(* --- merged-trace context validation ------------------------------- *)
+(* --- trace trees ------------------------------------------------------ *)
 
-(* One span as re-read from a merged ([chasec trace-merge]) file. *)
-type ctx_span = {
+(* One span as re-read from a rendered trace. *)
+type span = {
   s_name : string;
   s_trace : string;
   s_span : string;
@@ -138,89 +88,87 @@ type ctx_span = {
    asserting that children start inside their root. *)
 let clock_slack_us = 50_000.
 
-let check_tracectx path =
+(* Every event carries name/ph/ts; [X] events also their ids.  Returns
+   the spans, in file order. *)
+let collect_spans path events =
+  let str k ev = Option.bind (Jsonv.member k ev) Jsonv.to_string_opt in
+  let num k ev = Option.bind (Jsonv.member k ev) Jsonv.to_float_opt in
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | (Jsonv.Obj _ as ev) :: rest -> (
+      match (str "name" ev, str "ph" ev, num "ts" ev) with
+      | None, _, _ -> fail "%s: event %d: missing or non-string \"name\"" path i
+      | _, None, _ -> fail "%s: event %d: missing or non-string \"ph\"" path i
+      | _, _, None -> fail "%s: event %d: missing or non-numeric \"ts\"" path i
+      | Some _, Some ("M" | "C"), Some _ -> go (i + 1) acc rest
+      | Some s_name, Some "X", Some s_ts -> (
+        let args = Option.value ~default:Jsonv.Null (Jsonv.member "args" ev) in
+        match (str "trace" args, str "span" args) with
+        | Some s_trace, Some s_span ->
+          go (i + 1)
+            ({ s_name; s_trace; s_span; s_parent = str "parent" args; s_ts }
+            :: acc)
+            rest
+        | _ -> fail "%s: event %d: X event lacks args.trace/span" path i)
+      | Some _, Some ph, Some _ ->
+        fail "%s: event %d: unexpected phase %S" path i ph)
+    | _ :: _ -> fail "%s: event %d: not a JSON object" path i
+  in
+  go 0 [] events
+
+let check_tree path trace spans =
+  let ids = Hashtbl.create 16 in
+  List.iter (fun s -> Hashtbl.replace ids s.s_span s) spans;
+  match List.filter (fun s -> s.s_parent = None) spans with
+  | [] -> fail "%s: trace %s: no root span" path trace
+  | _ :: _ :: _ as roots ->
+    fail "%s: trace %s: %d root spans (want exactly one)" path trace
+      (List.length roots)
+  | [ root ] ->
+    List.fold_left
+      (fun acc s ->
+        match (acc, s.s_parent) with
+        | (Error _ as e), _ -> e
+        | Ok (), None -> Ok ()
+        | Ok (), Some p ->
+          if not (Hashtbl.mem ids p) then
+            fail "%s: trace %s: span %S (%s) has unknown parent %s" path trace
+              s.s_name s.s_span p
+          else if s.s_ts < root.s_ts -. clock_slack_us then
+            fail "%s: trace %s: span %S starts %.0fus before its root" path
+              trace s.s_name (root.s_ts -. s.s_ts)
+          else Ok ())
+      (Ok ()) spans
+
+let check_trace path =
   match read_file path with
   | Error msg -> fail "%s: cannot read: %s" path msg
   | Ok src -> (
     match Jsonv.of_string src with
     | Error msg -> fail "%s: invalid JSON: %s" path msg
     | Ok (Jsonv.List events) -> (
-      let str k ev = Option.bind (Jsonv.member k ev) Jsonv.to_string_opt in
-      let num k ev = Option.bind (Jsonv.member k ev) Jsonv.to_float_opt in
-      (* collect ph:"X" spans; metadata events carry no trace context *)
-      let rec collect i acc = function
-        | [] -> Ok (List.rev acc)
-        | ev :: rest -> (
-          match str "ph" ev with
-          | Some "M" -> collect (i + 1) acc rest
-          | Some "X" -> (
-            let args = Option.value ~default:Jsonv.Null (Jsonv.member "args" ev) in
-            match
-              (str "name" ev, str "trace" args, str "span" args, num "ts" ev)
-            with
-            | Some s_name, Some s_trace, Some s_span, Some s_ts ->
-              collect (i + 1)
-                ({ s_name; s_trace; s_span; s_parent = str "parent" args; s_ts }
-                :: acc)
-                rest
-            | _ ->
-              fail "%s: event %d: X event lacks name/ts or args.trace/span"
-                path i)
-          | Some ph -> fail "%s: event %d: unexpected phase %S" path i ph
-          | None -> fail "%s: event %d: missing \"ph\"" path i)
-      in
-      match collect 0 [] events with
+      match collect_spans path events with
       | Error _ as e -> e
       | Ok [] -> fail "%s: no spans" path
       | Ok spans -> (
-        (* group by trace id *)
         let traces = Hashtbl.create 7 in
         List.iter
           (fun s ->
             Hashtbl.replace traces s.s_trace
               (s :: Option.value ~default:[] (Hashtbl.find_opt traces s.s_trace)))
           spans;
-        let check_one trace spans =
-          let ids = Hashtbl.create 16 in
-          List.iter (fun s -> Hashtbl.replace ids s.s_span s) spans;
-          match List.filter (fun s -> s.s_parent = None) spans with
-          | [] -> fail "%s: trace %s: no root span" path trace
-          | _ :: _ :: _ as roots ->
-            fail "%s: trace %s: %d root spans (want exactly one)" path trace
-              (List.length roots)
-          | [ root ] ->
-            List.fold_left
-              (fun acc s ->
-                match (acc, s.s_parent) with
-                | (Error _ as e), _ -> e
-                | Ok (), None -> Ok ()
-                | Ok (), Some p ->
-                  if not (Hashtbl.mem ids p) then
-                    fail "%s: trace %s: span %S (%s) has unknown parent %s"
-                      path trace s.s_name s.s_span p
-                  else if s.s_ts < root.s_ts -. clock_slack_us then
-                    fail
-                      "%s: trace %s: span %S starts %.0fus before its root"
-                      path trace s.s_name (root.s_ts -. s.s_ts)
-                  else Ok ())
-              (Ok ()) spans
-        in
         match
           Hashtbl.fold
             (fun trace spans acc ->
               match acc with
               | Error _ -> acc
-              | Ok n -> (
-                match check_one trace spans with
-                | Ok () -> Ok (n + 1)
-                | Error _ as e -> e))
-            traces (Ok 0)
+              | Ok () -> check_tree path trace spans)
+            traces (Ok ())
         with
         | Error _ as e -> e
-        | Ok n ->
-          Printf.printf "tracectx OK: %s (%d spans, %d traces, parents \
-                         resolved)\n"
-            path (List.length spans) n;
+        | Ok () ->
+          Printf.printf "trace OK: %s (%d spans, %d traces, parents resolved)\n"
+            path (List.length spans) (Hashtbl.length traces);
           Ok ()))
     | Ok _ -> fail "%s: top level is not a JSON array" path)
 
@@ -364,10 +312,10 @@ let check_prom path =
 
 let usage () =
   prerr_endline
-    "usage: obs-check [--trace FILE] [--metrics FILE] [--tracectx FILE]\n\
-    \                 [--telemetry FILE] [--prom FILE]\n\
-     Validate observability output files (Chrome trace / metrics JSONL /\n\
-     merged distributed trace / telemetry snapshot / Prometheus text).";
+    "usage: obs-check [--trace FILE] [--metrics FILE] [--telemetry FILE]\n\
+    \                 [--prom FILE]\n\
+     Validate observability output files (Chrome trace tree / metrics\n\
+     JSONL / telemetry snapshot / Prometheus text).";
   exit 1
 
 let () =
@@ -375,7 +323,6 @@ let () =
     | [] -> List.rev checks
     | "--trace" :: file :: rest -> parse (`Trace file :: checks) rest
     | "--metrics" :: file :: rest -> parse (`Metrics file :: checks) rest
-    | "--tracectx" :: file :: rest -> parse (`Tracectx file :: checks) rest
     | "--telemetry" :: file :: rest -> parse (`Telemetry file :: checks) rest
     | "--prom" :: file :: rest -> parse (`Prom file :: checks) rest
     | _ -> usage ()
@@ -389,7 +336,6 @@ let () =
         match check with
         | `Trace f -> check_trace f
         | `Metrics f -> check_metrics f
-        | `Tracectx f -> check_tracectx f
         | `Telemetry f -> check_telemetry f
         | `Prom f -> check_prom f
       in

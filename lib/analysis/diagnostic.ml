@@ -115,6 +115,7 @@ type t = {
   severity : severity;
   line : int option;
   rule : string option;
+  variant : Chase_engine.Variant.t option;
   message : string;
   witness : witness;
 }
@@ -125,7 +126,7 @@ let rule_label idx r =
   match Tgd.name r with "" -> Fmt.str "rule#%d" (idx + 1) | n -> n
 
 let make code ?line ?rule ~witness message =
-  { code; severity = severity_of_code code; line; rule; message; witness }
+  { code; severity = severity_of_code code; line; rule; variant = None; message; witness }
 
 let is_error d = d.severity = Error
 let is_warning d = d.severity = Warning
@@ -144,9 +145,9 @@ let pp ?file fm d =
   | Some f, None -> Fmt.pf fm "%s: " f
   | None, Some ln -> Fmt.pf fm "line %d: " ln
   | None, None -> ());
-  Fmt.pf fm "%s[%s] %s"
-    (severity_to_string d.severity)
-    (code_id d.code) d.message
+  Fmt.pf fm "%s[%s] " (severity_to_string d.severity) (code_id d.code);
+  Option.iter (Fmt.pf fm "(%a) " Chase_engine.Variant.pp) d.variant;
+  Fmt.string fm d.message
 
 (* --- JSON rendering ------------------------------------------------ *)
 
@@ -263,12 +264,17 @@ let witness_to_json = function
 
 let to_json d =
   Json.Obj
-    [
+    ([
       ("code", Json.String (code_id d.code));
       ("name", Json.String (code_name d.code));
       ("severity", Json.String (severity_to_string d.severity));
       ("line", match d.line with None -> Json.Null | Some n -> Json.Int n);
       ("rule", match d.rule with None -> Json.Null | Some r -> Json.String r);
+    ]
+    @ (match d.variant with
+      | None -> []
+      | Some v -> [ ("variant", Json.String (Chase_engine.Variant.to_string v)) ])
+    @ [
       ("message", Json.String d.message);
       ("witness", witness_to_json d.witness);
-    ]
+    ])

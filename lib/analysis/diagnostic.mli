@@ -123,6 +123,9 @@ type t = {
   severity : severity;
   line : int option;  (** 1-based source line, when the span is known *)
   rule : string option;  (** offending rule's name or positional label *)
+  variant : Chase_engine.Variant.t option;
+      (** the chase variant whose verdict an explain diagnostic
+          ([W020]/[W021]) explains; [None] for static findings *)
   message : string;
   witness : witness;
 }
@@ -133,7 +136,8 @@ val rule_label : int -> Tgd.t -> string
 
 val make :
   code -> ?line:int -> ?rule:string -> witness:witness -> string -> t
-(** [make code ~witness message]; the severity comes from the code. *)
+(** [make code ~witness message]; the severity comes from the code and
+    [variant] is [None] ({!Explain} sets it). *)
 
 val is_error : t -> bool
 val is_warning : t -> bool
@@ -142,7 +146,8 @@ val compare_for_report : t -> t -> int
 (** Source order: by line (unspanned last), then code, then message. *)
 
 val pp : ?file:string -> Format.formatter -> t -> unit
-(** One human line: [file:line: severity[CODE] message]. *)
+(** One human line: [file:line: severity[CODE] message], with
+    [(variant) ] before the message when the diagnostic has one. *)
 
 val witness_to_json : witness -> Chase_obs.Jsonv.t
 val to_json : t -> Chase_obs.Jsonv.t

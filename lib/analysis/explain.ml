@@ -102,5 +102,9 @@ let check ?standard ?(budget = Chase_termination.Guarded.default_budget)
   let verdict = Chase_termination.Decide.check ?standard ~budget ~variant rules in
   {
     verdict;
-    diagnostics = Option.to_list (Option.map (render lrules rules) verdict.witness);
+    diagnostics =
+      Option.to_list
+        (Option.map
+           (fun w -> { (render lrules rules w) with Diagnostic.variant = Some variant })
+           verdict.witness);
   }

@@ -24,7 +24,9 @@ let dedup diags =
   let seen = Hashtbl.create 16 in
   List.filter
     (fun (d : Diagnostic.t) ->
-      let key = (d.Diagnostic.code, d.Diagnostic.line, d.Diagnostic.message) in
+      let key =
+        Diagnostic.(d.code, d.line, d.variant, d.message)
+      in
       if Hashtbl.mem seen key then false
       else begin
         Hashtbl.add seen key ();

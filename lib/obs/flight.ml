@@ -1,96 +1,64 @@
-(** The flight recorder: a bounded, lock-free, process-wide ring of
-    recent operational events, always on at near-zero cost, dumped as
-    a structured JSONL post-mortem when something goes wrong — so the
-    {e first} occurrence of a production anomaly yields evidence, not
-    a repro request.
-
-    Recording is a timestamp, three short strings and one ring store;
-    there is no lock, no allocation beyond the record itself, and no
-    I/O.  The ring is an array of immutable records behind an atomic
-    cursor: concurrent writers may interleave slots arbitrarily, which
-    is harmless — each slot flip is a single pointer store, so readers
-    always see whole records (OCaml 5's memory model), merely not
-    necessarily the globally newest ones.  The dump sorts by timestamp
-    to present a coherent timeline. *)
-
-type entry = {
-  ts_us : float;  (** absolute epoch microseconds *)
-  kind : string;  (** coarse class: ["shed"], ["recovery"], ["stall"], … *)
-  name : string;  (** the component or event name *)
-  detail : string;  (** free-form, small *)
-}
+(** The flight recorder.  The ring is an array of immutable records
+    behind an atomic cursor: concurrent writers may interleave slots,
+    which is harmless — each slot flip is one pointer store, so readers
+    always see whole records, if not always the globally newest ones.
+    The dump sorts by timestamp. *)
 
 let size = 1024
-let ring : entry option array = Array.make size None
+let ring : Tracectx.record option array = Array.make size None
 let cursor = Atomic.make 0
-let dump_drops = Atomic.make 0
 
 (* The post-mortem path: set once at process start by whichever binary
-   wants dumps; [None] keeps recording but makes [dump] a no-op. *)
+   wants dumps; [None] keeps the ring empty and [dump] a no-op. *)
 let dump_path : string option Atomic.t = Atomic.make None
 let configure ~path = Atomic.set dump_path path
 let configured () = Atomic.get dump_path
 
-let record ~kind ~name detail =
-  let i = Atomic.fetch_and_add cursor 1 in
-  ring.(i mod size) <-
-    Some { ts_us = Unix.gettimeofday () *. 1e6; kind; name; detail }
+(* The process's own events hang under one root span, named by each
+   dump's header record. *)
+let root = Tracectx.genesis ()
+
+let record r =
+  if Atomic.get dump_path <> None then begin
+    let i = Atomic.fetch_and_add cursor 1 in
+    ring.(i mod size) <- Some r
+  end
+
+let instant ?(args = []) name =
+  if Atomic.get dump_path <> None then
+    record
+      (Tracectx.make ~ctx:(Tracectx.child root) ~parent:root.Tracectx.span
+         ~name ~ts_us:(Tracectx.now_us ()) ~dur_us:0. args)
 
 let recorded () = Atomic.get cursor
 
 let entries () =
   Array.to_list ring
   |> List.filter_map Fun.id
-  |> List.sort (fun a b -> compare a.ts_us b.ts_us)
+  |> List.sort (fun a b -> compare a.Tracectx.r_ts_us b.Tracectx.r_ts_us)
 
 let reset () =
   Array.fill ring 0 size None;
-  Atomic.set cursor 0;
-  Atomic.set dump_drops 0
+  Atomic.set cursor 0
 
-let entry_to_json e =
-  Jsonv.Obj
-    [
-      ("ts_us", Jsonv.Float e.ts_us);
-      ("kind", Jsonv.String e.kind);
-      ("name", Jsonv.String e.name);
-      ("detail", Jsonv.String e.detail);
-    ]
-
-(** [dump_to write ~reason] emits the post-mortem: one header line
-    naming the reason, then every retained entry oldest-first. *)
-let dump_to write ~reason =
-  let es = entries () in
-  write
-    (Jsonv.to_string
-       (Jsonv.Obj
-          [
-            ("type", Jsonv.String "flight");
-            ("reason", Jsonv.String reason);
-            ("ts_us", Jsonv.Float (Unix.gettimeofday () *. 1e6));
-            ("recorded", Jsonv.Int (recorded ()));
-            ("retained", Jsonv.Int (List.length es));
-          ]));
-  List.iter (fun e -> write (entry_to_json e |> Jsonv.to_string)) es
-
-(** [dump ~reason] appends a post-mortem to the configured path.
-    Multiple dumps coexist in one file (each opens with its own header
-    line).  Never raises: a sick disk counts a drop and moves on. *)
+(** [dump ~reason] appends a post-mortem to the configured path: a
+    header record named ["flight"] carrying the reason and the ring's
+    counts, then every retained record oldest-first.  Multiple dumps
+    coexist in one file.  Never raises: the writer drops what a sick
+    disk refuses. *)
 let dump ~reason =
   match Atomic.get dump_path with
   | None -> ()
-  | Some path -> (
-    try
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          dump_to
-            (fun line ->
-              output_string oc line;
-              output_char oc '\n')
-            ~reason;
-          flush oc)
-    with _ -> Atomic.incr dump_drops)
-
-let drops () = Atomic.get dump_drops
+  | Some path ->
+    let es = entries () in
+    let w = Tracectx.Shard.open_ ~proc:Tracectx.program path in
+    Tracectx.Shard.write_record w
+      (Tracectx.make ~ctx:root ~name:"flight" ~ts_us:(Tracectx.now_us ())
+         ~dur_us:0.
+         [
+           ("reason", Jsonv.String reason);
+           ("recorded", Jsonv.Int (recorded ()));
+           ("retained", Jsonv.Int (List.length es));
+         ]);
+    List.iter (Tracectx.Shard.write_record w) es;
+    Tracectx.Shard.close w

@@ -1,7 +1,10 @@
 (** The observability facade the rest of the system talks to.
 
-    An [Obs.t] bundles a monotonic clock, an event sink and a metric
-    registry behind one [enabled] flag.  The {!disabled} value is the
+    An [Obs.t] bundles a clock, an event sink and a metric registry
+    behind one [enabled] flag.  The clock defaults to the span model's
+    one timestamp source, {!Tracectx.now_us} — wall-clock time, which
+    can step — and every reading is clamped so an instance's timestamps
+    never run backwards.  The {!disabled} value is the
     default everywhere: every operation on it is a single flag test, so
     instrumented code costs nothing measurable when nobody is looking.
 
@@ -35,7 +38,7 @@ let disabled =
     finished = true;
   }
 
-let default_clock = Unix.gettimeofday
+let default_clock () = Tracectx.now_us () *. 1e-6
 
 let create ?(clock = default_clock) ?metrics sinks =
   let t0 = clock () in
@@ -74,7 +77,6 @@ let span_end t name =
     match t.stack with
     | top :: rest when top = name ->
       t.stack <- rest;
-      Flight.record ~kind:"span" ~name "";
       t.sink.emit (Sink.Span_end { name; ts = now t })
     | _ -> ()
 
@@ -88,10 +90,8 @@ let with_span t ?args name f =
 (* --- point events -------------------------------------------------- *)
 
 let instant t ?(args = []) name =
-  if t.enabled && not t.finished then begin
-    Flight.record ~kind:"instant" ~name "";
+  if t.enabled && not t.finished then
     t.sink.emit (Sink.Instant { name; ts = now t; args })
-  end
 
 let series t name values =
   if t.enabled && not t.finished then
@@ -158,6 +158,30 @@ let write_metrics t write =
 
 (* --- file plumbing for the CLIs ------------------------------------ *)
 
+(* The instance's records go to the trace file, rendered as Chrome
+   events, and to the flight ring when a dump path is configured. *)
+let records_sink trace_oc =
+  let chrome = Option.map (fun oc -> Tracectx.Chrome.create (output_string oc)) trace_oc in
+  let flight = Flight.configured () <> None in
+  if chrome = None && not flight then None
+  else
+    let on_record r =
+      Option.iter (fun w -> Tracectx.Chrome.record w r) chrome;
+      if flight then Flight.record r
+    and on_series ~name ~ts_us values =
+      Option.iter (fun w -> Tracectx.Chrome.sample w ~name ~ts_us values) chrome
+    in
+    let s = Tracectx.records ~on_series on_record in
+    Some
+      {
+        s with
+        Sink.flush = (fun () -> Option.iter Stdlib.flush trace_oc);
+        close =
+          (fun () ->
+            s.Sink.close ();
+            Option.iter Tracectx.Chrome.close chrome);
+      }
+
 let files ?trace ?metrics:metrics_file ?(force = false) () =
   if trace = None && metrics_file = None && not force then
     Ok (disabled, ignore)
@@ -169,33 +193,27 @@ let files ?trace ?metrics:metrics_file ?(force = false) () =
       oc
     in
     match
-      let sinks = ref [] in
-      (match trace with
-      | Some path ->
-        let oc = open_file path in
-        sinks :=
-          Sink.trace ~flush:(fun () -> Stdlib.flush oc) (output_string oc)
-          :: !sinks
-      | None -> ());
+      let trace_oc = Option.map open_file trace in
       let metrics_oc =
-        match metrics_file with
-        | Some path ->
-          let oc = open_file path in
-          output_string oc (metrics_header ^ "\n");
-          sinks :=
-            Sink.filter Sink.is_point
-              (Sink.jsonl ~flush:(fun () -> Stdlib.flush oc)
-                 (output_string oc))
-            :: !sinks;
-          Some oc
-        | None -> None
+        Option.map
+          (fun path ->
+            let oc = open_file path in
+            output_string oc (metrics_header ^ "\n");
+            oc)
+          metrics_file
       in
-      let t = create (List.rev !sinks) in
+      let sinks =
+        Option.to_list (records_sink trace_oc)
+        @ Option.to_list
+            (Option.map
+               (fun oc ->
+                 Sink.jsonl ~flush:(fun () -> Stdlib.flush oc) (output_string oc))
+               metrics_oc)
+      in
+      let t = create sinks in
       let close () =
         finish t;
-        (match metrics_oc with
-        | Some oc -> write_metrics t (output_string oc)
-        | None -> ());
+        Option.iter (fun oc -> write_metrics t (output_string oc)) metrics_oc;
         List.iter (fun (_, oc) -> close_out_noerr oc) !opened
       in
       (t, close)

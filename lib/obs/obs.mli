@@ -1,11 +1,13 @@
-(** Observability facade: monotonic-clock spans, counters, gauges and
-    histograms behind one [enabled] flag, feeding pluggable sinks.
+(** Observability facade: spans, counters, gauges and histograms
+    behind one [enabled] flag, feeding pluggable sinks.
 
     The {!disabled} value is the default everywhere: every operation on
     it reduces to a flag test, so instrumented code is free when nobody
     is looking.  Span streams are well-formed by construction — ends
     are matched against a stack of open spans and {!finish} closes
-    anything left open — so sinks always see balanced begin/end pairs. *)
+    anything left open — so sinks always see balanced begin/end pairs.
+    A trace file pairs them into span records ({!Tracectx.records}):
+    the instance's run is one trace with one root span. *)
 
 type t
 
@@ -13,14 +15,16 @@ val disabled : t
 (** The no-op instance.  [enabled disabled = false]. *)
 
 val create : ?clock:(unit -> float) -> ?metrics:Metrics.t -> Sink.t list -> t
-(** A live instance.  [clock] defaults to [Unix.gettimeofday];
-    timestamps are clamped monotone relative to creation time. *)
+(** A live instance.  [clock] (seconds) defaults to the span model's
+    timestamp source {!Tracectx.now_us} — wall-clock time, not a
+    monotonic clock; readings are clamped monotone relative to creation
+    time. *)
 
 val enabled : t -> bool
 val metrics : t -> Metrics.t
 
 val now : t -> float
-(** Seconds since creation, monotone. *)
+(** Seconds since creation, clamped so it never decreases. *)
 
 (** {1 Spans} *)
 
@@ -49,8 +53,9 @@ val observe : t -> ?label:string -> string -> float -> unit
 val flush : t -> unit
 
 val finish : t -> unit
-(** Close any open spans, then close the sink (terminating a trace
-    array).  Idempotent; after [finish] all emission is a no-op. *)
+(** Close any open spans, then close the sink (writing a trace file's
+    root span and terminating its array).  Idempotent; after [finish]
+    all emission is a no-op. *)
 
 (** {1 Metric summaries} *)
 
@@ -71,9 +76,13 @@ val files :
   ?force:bool ->
   unit ->
   (t * (unit -> unit), string) result
-(** Open the requested output files and build a live instance: a Chrome
-    trace sink on [trace], a points-only JSONL sink (after the
-    {!metrics_header} line) on [metrics].  The returned closure
+(** Open the requested output files and build a live instance: its
+    spans and instants become records ({!Tracectx.records}) rendered by
+    {!Tracectx.Chrome} on [trace], with series samples as counter
+    events; its point events go to a JSONL sink (after the
+    {!metrics_header} line) on [metrics].  When a flight path is
+    configured ({!Flight.configure}), its records also feed the flight
+    ring.  The returned closure
     finishes the instance, appends metric summaries to the metrics
     file, and closes both files.  With neither file and [force] false,
     returns [(disabled, ignore)]; [force] makes the instance live

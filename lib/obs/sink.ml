@@ -1,11 +1,11 @@
-(** Event sinks: where telemetry goes.
+(** Event sinks: where an {!Obs} instance's events go.
 
     A sink is three closures — emit, flush, close — over an abstract
     event stream.  The engine never formats anything itself; it emits
-    {!event} values and the sink decides the wire format.  Shipped
-    sinks: [null] (drop everything), [jsonl] (one JSON object per
-    line), and [trace] (a Chrome [trace_event] array loadable in
-    Perfetto / about:tracing). *)
+    {!event} values and the sink decides what to keep.  Spans become
+    records ({!Tracectx.records}) and are rendered by the one Chrome
+    renderer; the sinks here are [null] (drop everything) and [jsonl]
+    (one JSON object per point event, the metrics file's body). *)
 
 type args = (string * Jsonv.t) list
 
@@ -31,35 +31,10 @@ let tee sinks =
     close = (fun () -> List.iter (fun s -> s.close ()) sinks);
   }
 
-let filter pred s =
-  { s with emit = (fun e -> if pred e then s.emit e) }
-
-(* Point events carry data a metrics stream wants; span begin/end are
-   trace-file structure. *)
-let is_point = function
-  | Instant _ | Series _ -> true
-  | Span_begin _ | Span_end _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* JSONL                                                               *)
-(* ------------------------------------------------------------------ *)
-
 let jsonl ?(flush = ignore) write =
   let line obj = write (Jsonv.to_string (Jsonv.Obj obj) ^ "\n") in
   let emit = function
-    | Span_begin { name; ts; args } ->
-      line
-        (("type", Jsonv.String "begin")
-         :: ("name", Jsonv.String name)
-         :: ("ts", Jsonv.Float ts)
-         :: args)
-    | Span_end { name; ts } ->
-      line
-        [
-          ("type", Jsonv.String "end");
-          ("name", Jsonv.String name);
-          ("ts", Jsonv.Float ts);
-        ]
+    | Span_begin _ | Span_end _ -> ()
     | Instant { name; ts; args } ->
       line
         (("type", Jsonv.String "instant")
@@ -77,55 +52,3 @@ let jsonl ?(flush = ignore) write =
         ]
   in
   { emit; flush; close = flush }
-
-(* ------------------------------------------------------------------ *)
-(* Chrome trace_event                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The JSON-array flavour of the trace_event format: one object per
-   event, [ph] is the phase letter (B begin, E end, i instant, C
-   counter), timestamps in microseconds.  Perfetto and about:tracing
-   both accept it. *)
-let trace ?(flush = ignore) write =
-  let first = ref true in
-  let event obj =
-    if !first then begin
-      write "[\n";
-      first := false
-    end
-    else write ",\n";
-    write (Jsonv.to_string (Jsonv.Obj obj))
-  in
-  let us ts = Jsonv.Float (ts *. 1e6) in
-  let base name ph ts =
-    [
-      ("name", Jsonv.String name);
-      ("ph", Jsonv.String ph);
-      ("ts", us ts);
-      ("pid", Jsonv.Int 1);
-      ("tid", Jsonv.Int 1);
-      ("cat", Jsonv.String "chase");
-    ]
-  in
-  let with_args args obj =
-    match args with [] -> obj | _ -> obj @ [ ("args", Jsonv.Obj args) ]
-  in
-  let emit = function
-    | Span_begin { name; ts; args } ->
-      event (with_args args (base name "B" ts))
-    | Span_end { name; ts } -> event (base name "E" ts)
-    | Instant { name; ts; args } ->
-      event (with_args args (base name "i" ts @ [ ("s", Jsonv.String "t") ]))
-    | Series { name; ts; values } ->
-      event
-        (with_args
-           (List.map (fun (k, v) -> (k, Jsonv.Float v)) values)
-           (base name "C" ts))
-  in
-  let close () =
-    (* an empty stream still closes to valid JSON *)
-    if !first then write "[\n";
-    write "\n]\n";
-    flush ()
-  in
-  { emit; flush; close }

@@ -1,4 +1,7 @@
-(** Event sinks: pluggable back-ends for the telemetry stream. *)
+(** Event sinks: pluggable back-ends for an {!Obs} instance's event
+    stream.  Spans are turned into records by {!Tracectx.records} and
+    rendered by {!Tracectx.Chrome}; this module only carries the event
+    type and the point-event sinks. *)
 
 type args = (string * Jsonv.t) list
 
@@ -21,18 +24,7 @@ val null : t
 val tee : t list -> t
 (** Broadcast to several sinks. *)
 
-val filter : (event -> bool) -> t -> t
-
-val is_point : event -> bool
-(** True for [Instant] and [Series] — the events a metrics stream
-    wants; span begin/end are trace-file structure. *)
-
 val jsonl : ?flush:(unit -> unit) -> (string -> unit) -> t
-(** One JSON object per line with a ["type"] discriminator field
-    (["begin"], ["end"], ["instant"], ["series"]). *)
-
-val trace : ?flush:(unit -> unit) -> (string -> unit) -> t
-(** Chrome [trace_event] JSON array (phases B/E/i/C, timestamps in
-    microseconds) — loadable in Perfetto or about:tracing.  [close]
-    terminates the array; an empty stream still closes to valid
-    JSON. *)
+(** One JSON object per point event and line, with a ["type"]
+    discriminator (["instant"], ["series"]): the body of a metrics
+    file.  Span begin/end events are dropped — spans are records. *)

@@ -1,23 +1,5 @@
-(** Distributed trace context: compact trace/span identifiers, the
-    per-process JSONL {e shard} writer, and the offline merge that
-    joins shards into one Chrome-trace file.
-
-    The doctrine is {e propagate ids, ship spans, merge offline}: a
-    request carries only a ~34-byte context string across process
-    boundaries (client → server → shipper → standby); each process
-    appends its own spans to its own local shard file with absolute
-    wall-clock timestamps; and [merge_to_chrome] — driven by
-    [chasec trace-merge] — joins any set of shards into a single
-    trace-event array grouped by trace id.  No process ever blocks on
-    another's observability plane, and a shard that was never
-    collected costs nothing but a gap in the merged picture.
-
-    Identifiers are 64-bit values rendered as 16 lowercase hex digits,
-    minted by a splitmix64 stream seeded from the pid and the clock so
-    concurrent processes cannot collide in practice.  A context is the
-    pair [trace-span]: the trace id names the whole request tree, the
-    span id names the sender's own span so the receiver can parent its
-    spans under it. *)
+(** The span model: trace contexts, the one span record, its writer and
+    its Chrome renderer (see the interface). *)
 
 type t = {
   trace : string;  (** 16 hex digits shared by every span of the request *)
@@ -35,12 +17,18 @@ let splitmix64 s =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+(* The one timestamp source: every span record, every [Obs] instance on
+   its default clock and the flight recorder read it.  Wall-clock epoch
+   microseconds, so same-host shards merge without clock alignment; it
+   can step, and [Obs] clamps what it reads to stay monotone. *)
+let now_us () = Unix.gettimeofday () *. 1e6
+
 (* One process-wide stream: the seed mixes pid and boot time, and an
    atomic counter advances it — wait-free from any domain or thread.  No
    lazy seed: threads forcing one lazy at once raise [Lazy.Undefined]. *)
 let seed =
   Int64.logxor
-    (Int64.of_float (Unix.gettimeofday () *. 1e6))
+    (Int64.of_float (now_us ()))
     (Int64.shift_left (Int64.of_int (Unix.getpid ())) 40)
 
 let ctr = Atomic.make 1
@@ -76,7 +64,7 @@ let of_string s =
   else None
 
 (* ------------------------------------------------------------------ *)
-(* Shard records                                                       *)
+(* The span record                                                     *)
 (* ------------------------------------------------------------------ *)
 
 type record = {
@@ -91,57 +79,71 @@ type record = {
   r_args : (string * Jsonv.t) list;
 }
 
-let record_to_json r =
-  let base =
-    [
-      ("trace", Jsonv.String r.r_trace);
-      ("span", Jsonv.String r.r_span);
-    ]
-  in
-  let parent =
-    match r.r_parent with
-    | Some p -> [ ("parent", Jsonv.String p) ]
-    | None -> []
-  in
-  let tail =
-    [
-      ("name", Jsonv.String r.r_name);
-      ("proc", Jsonv.String r.r_proc);
-      ("pid", Jsonv.Int r.r_pid);
-      ("ts_us", Jsonv.Float r.r_ts_us);
-      ("dur_us", Jsonv.Float r.r_dur_us);
-    ]
-  in
-  let args =
-    match r.r_args with [] -> [] | a -> [ ("args", Jsonv.Obj a) ]
-  in
-  Jsonv.Obj (base @ parent @ tail @ args)
+(* The label a process puts on its own records: the executable's base
+   name without extension ([chase_cli], [chased], …). *)
+let program =
+  Filename.remove_extension (Filename.basename Sys.executable_name)
 
-let record_of_json j =
-  let str k = Option.bind (Jsonv.member k j) Jsonv.to_string_opt in
-  let num k = Option.bind (Jsonv.member k j) Jsonv.to_float_opt in
-  match (str "trace", str "span", str "name", str "proc", num "ts_us") with
-  | Some r_trace, Some r_span, Some r_name, Some r_proc, Some r_ts_us ->
-    let r_args =
-      match Jsonv.member "args" j with Some (Jsonv.Obj kvs) -> kvs | _ -> []
-    in
-    Ok
-      {
-        r_trace;
-        r_span;
-        r_parent = str "parent";
-        r_name;
-        r_proc;
-        r_pid =
-          (match num "pid" with Some p -> int_of_float p | None -> 0);
-        r_ts_us;
-        r_dur_us = (match num "dur_us" with Some d -> d | None -> 0.);
-        r_args;
-      }
-  | _ -> Error "span record missing trace/span/name/proc/ts_us"
+let make ~ctx ?parent ?(proc = program) ~name ~ts_us ~dur_us args =
+  {
+    r_trace = ctx.trace;
+    r_span = ctx.span;
+    r_parent = parent;
+    r_name = name;
+    r_proc = proc;
+    r_pid = Unix.getpid ();
+    r_ts_us = ts_us;
+    r_dur_us = dur_us;
+    r_args = args;
+  }
+
+(* Epoch microseconds are past 1e15, where a JSON float would print
+   with 12 significant digits — millisecond resolution — so start
+   times are written as whole microseconds. *)
+let us_json t = Jsonv.Int (Float.to_int (Float.round t))
+
+let ids r =
+  ("trace", Jsonv.String r.r_trace)
+  :: ("span", Jsonv.String r.r_span)
+  :: (match r.r_parent with Some p -> [ ("parent", Jsonv.String p) ] | None -> [])
+
+let record_to_json r =
+  Jsonv.Obj
+    (ids r
+    @ [
+        ("name", Jsonv.String r.r_name);
+        ("proc", Jsonv.String r.r_proc);
+        ("pid", Jsonv.Int r.r_pid);
+        ("ts_us", us_json r.r_ts_us);
+        ("dur_us", Jsonv.Float r.r_dur_us);
+      ]
+    @ match r.r_args with [] -> [] | a -> [ ("args", Jsonv.Obj a) ])
+
+let parse_shard_line line =
+  match Jsonv.of_string (String.trim line) with
+  | Error _ -> None
+  | Ok j -> (
+    let str k = Option.bind (Jsonv.member k j) Jsonv.to_string_opt in
+    let num k = Option.bind (Jsonv.member k j) Jsonv.to_float_opt in
+    match (str "trace", str "span", str "name", str "proc", num "ts_us") with
+    | Some r_trace, Some r_span, Some r_name, Some r_proc, Some r_ts_us ->
+      Some
+        {
+          r_trace;
+          r_span;
+          r_parent = str "parent";
+          r_name;
+          r_proc;
+          r_pid = Option.fold ~none:0 ~some:int_of_float (num "pid");
+          r_ts_us;
+          r_dur_us = Option.value ~default:0. (num "dur_us");
+          r_args =
+            (match Jsonv.member "args" j with Some (Jsonv.Obj kvs) -> kvs | _ -> []);
+        }
+    | _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* The shard writer                                                    *)
+(* The writer                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (** Append-only JSONL, one record per line, flushed per line so a
@@ -153,7 +155,6 @@ module Shard = struct
   type writer = {
     mu : Mutex.t;
     proc : string;
-    path : string;
     check : unit -> bool;  (** [true] = fail this write (fault hook) *)
     mutable oc : out_channel option;
     mutable drops : int;
@@ -171,14 +172,11 @@ module Shard = struct
     {
       mu = Mutex.create ();
       proc;
-      path;
       check;
       oc;
       drops = (if oc = None then 1 else 0);
     }
 
-  let proc w = w.proc
-  let path w = w.path
   let drops w = locked w (fun () -> w.drops)
 
   let write_record w r =
@@ -198,115 +196,142 @@ module Shard = struct
             (try close_out_noerr oc with _ -> ());
             w.oc <- None))
 
-  let span w ~ctx ?parent ~name ~ts_us ~dur_us ?(args = []) () =
-    write_record w
-      {
-        r_trace = ctx.trace;
-        r_span = ctx.span;
-        r_parent = parent;
-        r_name = name;
-        r_proc = w.proc;
-        r_pid = Unix.getpid ();
-        r_ts_us = ts_us;
-        r_dur_us = dur_us;
-        r_args = args;
-      }
-
-  let instant w ~ctx ?parent ~name ~ts_us ?args () =
-    span w ~ctx ?parent ~name ~ts_us ~dur_us:0. ?args ()
-
   let close w =
     locked w (fun () ->
         (match w.oc with Some oc -> (try close_out oc with _ -> ()) | None -> ());
         w.oc <- None)
 end
 
-let now_us () = Unix.gettimeofday () *. 1e6
-
 (* ------------------------------------------------------------------ *)
-(* Offline merge: shards → one Chrome-trace array                      *)
+(* The bracket: one timed child span                                   *)
 (* ------------------------------------------------------------------ *)
 
-let parse_shard_line line =
-  let line = String.trim line in
-  if line = "" then None
-  else
-    match Jsonv.of_string line with
-    | Error _ -> None
-    | Ok j -> ( match record_of_json j with Ok r -> Some r | Error _ -> None)
+let span w ?parent ?ctx ?since ?(args = fun _ -> []) name f =
+  let ctx = match ctx with Some _ -> ctx | None -> Option.map child parent in
+  match (w, ctx) with
+  | Some w, Some ctx ->
+    let ts_us = match since with Some t -> t | None -> now_us () in
+    let v = f () in
+    Shard.write_record w
+      (make ~ctx
+         ?parent:(Option.map (fun p -> p.span) parent)
+         ~proc:w.Shard.proc ~name ~ts_us
+         ~dur_us:(now_us () -. ts_us)
+         (args v));
+    v
+  | _ -> f ()
 
-(** [merge_to_chrome records] joins span records from any number of
-    shards into one Chrome trace-event array: a metadata ([ph:"M"])
-    event names each distinct process, and every span becomes a
-    complete ([ph:"X"]) event whose [args] carry the trace/span/parent
-    ids so validators (and Perfetto queries) can re-walk the tree.
-    Events are ordered by trace id, then start time — one request's
-    tree reads contiguously. *)
-let merge_to_chrome records =
-  let procs = Hashtbl.create 7 in
-  let next = ref 0 in
-  let pid_of r =
-    let key = (r.r_proc, r.r_pid) in
-    match Hashtbl.find_opt procs key with
-    | Some n -> n
+let instant w ?parent ?(args = []) name =
+  match (w, parent) with
+  | Some w, Some p ->
+    Shard.write_record w
+      (make ~ctx:(child p) ~parent:p.span ~proc:w.Shard.proc ~name
+         ~ts_us:(now_us ()) ~dur_us:0. args)
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Records from an Obs event stream                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One trace per sink: the root span stands for the whole observed run,
+   and each closed span or instant becomes a record parented on the
+   innermost span open when it began.  [Obs] matches ends against its
+   own stack, so this stack always mirrors it; a stray end is ignored
+   here as there. *)
+let records ?(on_series = fun ~name:_ ~ts_us:_ _ -> ()) on_record =
+  let root = genesis () in
+  let base = now_us () in
+  let abs ts = base +. (ts *. 1e6) in
+  let stack = ref [] in
+  let parent () =
+    match !stack with (_, c, _, _) :: _ -> c.span | [] -> root.span
+  in
+  let emit = function
+    | Sink.Span_begin { name; ts; args } ->
+      stack := (name, child root, abs ts, args) :: !stack
+    | Sink.Span_end { name; ts } -> (
+      match !stack with
+      | (top, ctx, ts_us, args) :: rest when top = name ->
+        stack := rest;
+        on_record
+          (make ~ctx ~parent:(parent ()) ~name ~ts_us
+             ~dur_us:(abs ts -. ts_us) args)
+      | _ -> ())
+    | Sink.Instant { name; ts; args } ->
+      on_record
+        (make ~ctx:(child root) ~parent:(parent ()) ~name ~ts_us:(abs ts)
+           ~dur_us:0. args)
+    | Sink.Series { name; ts; values } -> on_series ~name ~ts_us:(abs ts) values
+  in
+  let close () =
+    on_record
+      (make ~ctx:root ~name:program ~ts_us:base ~dur_us:(now_us () -. base) [])
+  in
+  { Sink.emit; flush = ignore; close }
+
+(* ------------------------------------------------------------------ *)
+(* The Chrome renderer                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The JSON-array flavour of the trace_event format. *)
+module Chrome = struct
+  type writer = {
+    write : string -> unit;
+    procs : (string * int, int) Hashtbl.t;
+    mutable first : bool;
+  }
+
+  let create write = { write; procs = Hashtbl.create 7; first = true }
+
+  let event w ~name ~ph ~ts ~pid ?(tid = 1) rest args =
+    w.write (if w.first then "[\n" else ",\n");
+    w.first <- false;
+    w.write
+      (Jsonv.to_string
+         (Jsonv.Obj
+            ([ ("name", Jsonv.String name); ("ph", Jsonv.String ph); ("ts", ts) ]
+            @ rest
+            @ [ ("pid", Jsonv.Int pid); ("tid", Jsonv.Int tid); ("args", Jsonv.Obj args) ])))
+
+  (* The small display pid of a (proc, OS pid) pair, announced by its
+     metadata event the first time it is seen. *)
+  let pid w proc ospid =
+    match Hashtbl.find_opt w.procs (proc, ospid) with
+    | Some v -> v
     | None ->
-      incr next;
-      Hashtbl.replace procs key !next;
-      !next
-  in
-  let sorted =
-    List.sort
-      (fun a b ->
-        match String.compare a.r_trace b.r_trace with
-        | 0 -> compare a.r_ts_us b.r_ts_us
-        | c -> c)
-      records
-  in
-  let span_events =
-    List.map
-      (fun r ->
-        let vid = pid_of r in
-        let args =
-          [
-            ("trace", Jsonv.String r.r_trace);
-            ("span", Jsonv.String r.r_span);
-          ]
-          @ (match r.r_parent with
-            | Some p -> [ ("parent", Jsonv.String p) ]
-            | None -> [])
-          @ r.r_args
-        in
-        Jsonv.Obj
-          [
-            ("name", Jsonv.String r.r_name);
-            ("cat", Jsonv.String "chase");
-            ("ph", Jsonv.String "X");
-            ("ts", Jsonv.Float r.r_ts_us);
-            ("dur", Jsonv.Float r.r_dur_us);
-            ("pid", Jsonv.Int vid);
-            ("tid", Jsonv.Int 1);
-            ("args", Jsonv.Obj args);
-          ])
-      sorted
-  in
-  let meta =
-    Hashtbl.fold
-      (fun (proc, ospid) vid acc ->
-        Jsonv.Obj
-          [
-            ("name", Jsonv.String "process_name");
-            ("ph", Jsonv.String "M");
-            ("ts", Jsonv.Float 0.);
-            ("pid", Jsonv.Int vid);
-            ("tid", Jsonv.Int 0);
-            ( "args",
-              Jsonv.Obj
-                [
-                  ("name", Jsonv.String (Printf.sprintf "%s/%d" proc ospid));
-                ] );
-          ]
-        :: acc)
-      procs []
-    |> List.sort compare
-  in
-  Jsonv.List (meta @ span_events)
+      let v = Hashtbl.length w.procs + 1 in
+      Hashtbl.replace w.procs (proc, ospid) v;
+      event w ~name:"process_name" ~ph:"M" ~ts:(Jsonv.Int 0) ~pid:v ~tid:0 []
+        [ ("name", Jsonv.String (Printf.sprintf "%s/%d" proc ospid)) ];
+      v
+
+  let cat = ("cat", Jsonv.String "chase")
+
+  let record w r =
+    event w ~name:r.r_name ~ph:"X" ~ts:(us_json r.r_ts_us)
+      ~pid:(pid w r.r_proc r.r_pid)
+      [ cat; ("dur", Jsonv.Float r.r_dur_us) ]
+      (ids r @ r.r_args)
+
+  let sample w ~name ~ts_us values =
+    event w ~name ~ph:"C" ~ts:(us_json ts_us)
+      ~pid:(pid w program (Unix.getpid ()))
+      [ cat ]
+      (List.map (fun (k, x) -> (k, Jsonv.Float x)) values)
+
+  (* an empty stream still closes to valid JSON *)
+  let close w =
+    if w.first then w.write "[";
+    w.write "\n]\n"
+end
+
+let merge_to_chrome write records =
+  let w = Chrome.create write in
+  List.iter (Chrome.record w)
+    (List.stable_sort
+       (fun a b ->
+         match String.compare a.r_trace b.r_trace with
+         | 0 -> compare a.r_ts_us b.r_ts_us
+         | c -> c)
+       records);
+  Chrome.close w

@@ -125,13 +125,13 @@ let checked c run =
   | result -> Result.map (fun () -> result) (settle c result.Engine.status)
   | exception Mismatch m -> Error m
 
-let verify ~variant ~rules ~db report =
+let verify ?cancel ~variant ~rules ~db report =
   let c = check report in
   let config =
     {
       Engine.variant;
       limits =
-        Chase_engine.Limits.make
+        Chase_engine.Limits.make ?cancel
           ~max_triggers:(List.length report.history) ();
     }
   in
@@ -140,5 +140,11 @@ let verify ~variant ~rules ~db report =
       (expect c
          (Codec.record ~step ~rule_index ~depth ~created_nulls rule hom added))
   in
-  checked c (fun () -> Engine.run ~config ~on_trigger rules db)
-  |> Result.map ignore
+  match checked c (fun () -> Engine.run ~config ~on_trigger rules db) with
+  | Error _ as e -> e
+  | Ok _ -> (
+    (* a cancelled re-run stopped short of the history: not certified *)
+    match cancel with
+    | Some k when Chase_engine.Limits.Cancel.is_cancelled k ->
+      Error "certification cancelled"
+    | _ -> Ok ())

@@ -73,10 +73,13 @@ val checked :
     stopped on a limit first is fine. *)
 
 val verify :
+  ?cancel:Chase_engine.Limits.Cancel.t ->
   variant:Chase_engine.Variant.t ->
   rules:Tgd.t list ->
   db:Atom.t list ->
   report ->
   (unit, string) result
 (** The re-run capped at the history's length, {!checked}: what a
-    standby runs to certify a shipped journal without touching it. *)
+    standby runs to certify a shipped journal without touching it.
+    Cancelling [cancel] stops the re-run within a few steps; a
+    cancelled re-run is an [Error], never a certification. *)

@@ -19,8 +19,10 @@
     ({!Chase_persist.Recovery.verify}, which writes nothing —
     certification must never mutate shipped state), so the standby
     knows {e before} promotion that its state re-derives.  Stopping the
-    receiver waits for the re-run in progress, not for the rest of the
-    sweep.  Promotion itself is not this
+    receiver cancels a re-run in progress (a cancelled certification
+    counts as not certified) and wakes the certifier from its
+    [cert_interval] sleep, so a promotion waits on neither.  Promotion
+    itself is not this
     module's business: {!Standby} stops the receiver and boots a
     {!Chase_service.Server}, whose ordinary boot recovery resumes every
     acknowledged request: a re-run from step zero, checked against its
@@ -34,6 +36,7 @@ module Proto = Chase_service.Proto
 module Fsutil = Chase_persist.Fsutil
 module Recovery = Chase_persist.Recovery
 module Variant = Chase_engine.Variant
+module Limits = Chase_engine.Limits
 module Obs = Chase_obs.Obs
 module Parser = Chase_logic.Parser
 module Tracectx = Chase_obs.Tracectx
@@ -66,6 +69,9 @@ type t = {
   mutable cert_fails : int;
   mutable last_error : string option;
   mutable stop : bool;
+  cancel : Limits.Cancel.t;  (** cancelled by [stop]: ends a certification *)
+  wake_r : Unix.file_descr;  (** readable once [stop] runs: ends the *)
+  wake_w : Unix.file_descr;  (** certifier's [cert_interval] sleep *)
   cert_state : (string, int * bool) Hashtbl.t;
       (** journal name -> (size last certified, passed) *)
   mutable accepter : Thread.t option;
@@ -189,24 +195,17 @@ let serve_conn t fd =
                     (float_of_int (max 0 (s.Shipframe.head - s.Shipframe.seq))));
               (* a traced frame: the apply becomes a span of the
                  request's own trace, parented on the primary's ctx *)
-              (match (t.shard, s.Shipframe.trace) with
-              | Some w, Some tc -> (
-                match Tracectx.of_string tc with
-                | None -> ()
-                | Some parent ->
-                  let ctx = Tracectx.child parent in
-                  Tracectx.Shard.span w ~ctx ~parent:parent.Tracectx.span
-                    ~name:"receiver.apply" ~ts_us
-                    ~dur_us:(Tracectx.now_us () -. ts_us)
-                    ~args:
-                      [
-                        ("name", Chase_obs.Jsonv.String s.Shipframe.name);
-                        ( "lag",
-                          Chase_obs.Jsonv.Int
-                            (max 0 (s.Shipframe.head - s.Shipframe.seq)) );
-                      ]
-                    ())
-              | _ -> ());
+              Tracectx.span t.shard
+                ?parent:(Option.bind s.Shipframe.trace Tracectx.of_string)
+                ~since:ts_us
+                ~args:(fun () ->
+                  [
+                    ("name", Chase_obs.Jsonv.String s.Shipframe.name);
+                    ( "lag",
+                      Chase_obs.Jsonv.Int
+                        (max 0 (s.Shipframe.head - s.Shipframe.seq)) );
+                  ])
+                "receiver.apply" ignore;
               if send fd (Shipframe.Ack s.Shipframe.seq) then loop ()))
   in
   loop ()
@@ -245,7 +244,7 @@ let read_file path =
    journal's length, and check every step against it: the check a
    resume runs, minus any repair — the standby must never mutate what
    the primary shipped. *)
-let certify_one ~spool_dir name =
+let certify_one ?cancel ~spool_dir name =
   let jnl = Filename.concat spool_dir name in
   let key = Filename.chop_suffix name ".jnl" in
   let req_path = Filename.concat spool_dir (key ^ ".req") in
@@ -273,7 +272,7 @@ let certify_one ~spool_dir name =
              (fun report ->
                Result.map
                  (fun () -> List.length report.Recovery.history)
-                 (Recovery.verify ~variant ~rules ~db report)))))
+                 (Recovery.verify ?cancel ~variant ~rules ~db report)))))
 
 let certify_sweep t =
   match Sys.readdir t.cfg.spool_dir with
@@ -296,8 +295,11 @@ let certify_sweep t =
                    | _ -> true)
           in
           if due then
-            match certify_one ~spool_dir:t.cfg.spool_dir name with
+            match certify_one ~cancel:t.cancel ~spool_dir:t.cfg.spool_dir name with
             | None -> ()
+            | Some (Error _) when Limits.Cancel.is_cancelled t.cancel ->
+              (* cut short by [stop]: neither certified nor failed *)
+              ()
             | Some (Ok step) ->
               locked t (fun () ->
                   let first =
@@ -322,7 +324,9 @@ let certify_sweep t =
 let certify_loop t =
   while not t.stop do
     (try certify_sweep t with _ -> ());
-    Thread.delay t.cfg.cert_interval
+    if not t.stop then
+      try ignore (Unix.select [ t.wake_r ] [] [] t.cfg.cert_interval)
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
 (* ------------------------------------------------------------------ *)
@@ -346,6 +350,7 @@ let start cfg =
   let shard =
     Option.map (Tracectx.Shard.open_ ~proc:"receiver") cfg.trace_shard
   in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =
     {
       cfg;
@@ -364,6 +369,9 @@ let start cfg =
       cert_fails = 0;
       last_error = None;
       stop = false;
+      cancel = Limits.Cancel.create ();
+      wake_r;
+      wake_w;
       cert_state = Hashtbl.create 16;
       accepter = None;
       certifier = None;
@@ -377,6 +385,11 @@ let start cfg =
 let stop t =
   if not t.stop then begin
     t.stop <- true;
+    (* end a certification in progress and the certifier's sleep:
+       promotion must not wait for either *)
+    Limits.Cancel.cancel ~reason:"receiver stopping" t.cancel;
+    (try ignore (Unix.write_substring t.wake_w "x" 0 1)
+     with Unix.Unix_error _ -> ());
     (* wake the accept loop: neither close nor shutdown does, on an
        AF_UNIX listener — a throwaway connection does *)
     (try
@@ -392,6 +405,9 @@ let stop t =
     (try Unix.close t.listener with Unix.Unix_error _ -> ());
     Option.iter Thread.join t.accepter;
     Option.iter Thread.join t.certifier;
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ t.wake_r; t.wake_w ];
     Option.iter Tracectx.Shard.close t.shard;
     (* final metric summaries — the artifact obs_check validates *)
     Mutex.lock t.obs_mu;

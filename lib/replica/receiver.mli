@@ -4,7 +4,8 @@
     re-acked without re-applying, anything corrupt or out of order
     draws a structured nack (which is the re-request: the shipper
     answers with a full-resync session).  A background thread
-    continuously certifies every received journal ({!certify_one}), and
+    continuously certifies every received journal ({!certify_one}),
+    until {!stop} cancels it, and
     each frame's [head - seq] lands in the [repl.lag] metric
     histogram. *)
 
@@ -31,17 +32,24 @@ type t
 
 val start : config -> t
 val stop : t -> unit
-(** Close everything and write final metric summaries. *)
+(** Close everything and write final metric summaries.  A certification
+    in progress is cancelled (it counts as not certified) and the
+    certifier's [cert_interval] sleep is cut short, so [stop] returns
+    without waiting for either. *)
 
 val certify_one :
-  spool_dir:string -> string -> (int, string) result option
+  ?cancel:Chase_engine.Limits.Cancel.t ->
+  spool_dir:string ->
+  string ->
+  (int, string) result option
 (** [certify_one ~spool_dir name] certifies the journal [name] of the
     spool: the chase of its shipped [.req] program is re-run, capped at
     the journal's length, and every step is checked against the journal
     ({!Chase_persist.Recovery.verify}).  [Some (Ok k)] when all [k]
     records match; [Some (Error reason)] when the journal or its
-    request is unusable or a record differs; [None] while the [.req]
-    has not arrived.  Never modifies the spool. *)
+    request is unusable, a record differs, or [cancel] was cancelled
+    before the re-run finished; [None] while the [.req] has not
+    arrived.  Never modifies the spool. *)
 
 val last_error : t -> string option
 (** The most recent nack reason or certification failure. *)

@@ -180,22 +180,15 @@ let on_durable t what ~key ~trace bytes =
   in
   (* the semi-sync wait, as a span under the request's server span:
      its duration is the ship→ack latency the client actually paid *)
-  match (t.shard, trace) with
-  | Some w, Some tc -> (
-    match Tracectx.of_string tc with
-    | None -> ()
-    | Some parent ->
-      let ctx = Tracectx.child parent in
-      Tracectx.Shard.span w ~ctx ~parent:parent.Tracectx.span
-        ~name:"shipper.sync" ~ts_us
-        ~dur_us:(Tracectx.now_us () -. ts_us)
-        ~args:
-          [
-            ("name", Chase_obs.Jsonv.String name);
-            ("lagging", Chase_obs.Jsonv.Bool timed_out);
-          ]
-        ())
-  | _ -> ()
+  Tracectx.span t.shard
+    ?parent:(Option.bind trace Tracectx.of_string)
+    ~since:ts_us
+    ~args:(fun () ->
+      [
+        ("name", Chase_obs.Jsonv.String name);
+        ("lagging", Chase_obs.Jsonv.Bool timed_out);
+      ])
+    "shipper.sync" ignore
 
 (* ------------------------------------------------------------------ *)
 (* Scanning the spool                                                  *)

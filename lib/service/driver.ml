@@ -126,9 +126,12 @@ let watchdog_of ?on_snapshot ~err ~obs progress =
       (Watchdog.create ~every ~min_interval (fun s ->
            Obs.series obs "watchdog" (Watchdog.fields s);
            Obs.flush obs;
-           Flight.record ~kind:"watchdog"
-             ~name:(Fmt.str "step-%d" s.Watchdog.step)
-             (Fmt.str "%.0f/s" s.Watchdog.steps_per_sec);
+           Flight.instant "watchdog"
+             ~args:
+               [
+                 ("step", Json.Int s.Watchdog.step);
+                 ("steps_per_sec", Json.Float s.Watchdog.steps_per_sec);
+               ];
            if progress then begin
              Fmt.pf err "%a@." Watchdog.pp_snapshot s;
              (* explicit flush: a kill mid-interval must not eat buffered
@@ -318,8 +321,15 @@ let chase o ~file ~src ~out ~err =
             (* post-mortem: the flight ring holds the run's last events.
                A deadline breach is the watchdog's stall verdict — the
                run was alive but not converging *)
-            Flight.record ~kind:"exhausted" ~name:file
-              (Fmt.str "%a" Limits.pp_breach reason.Limits.Exhaustion.breach);
+            Flight.instant "exhausted"
+              ~args:
+                [
+                  ("file", Json.String file);
+                  ( "breach",
+                    Json.String
+                      (Fmt.str "%a" Limits.pp_breach
+                         reason.Limits.Exhaustion.breach) );
+                ];
             Flight.dump
               ~reason:
                 (match reason.Limits.Exhaustion.breach with

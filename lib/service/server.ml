@@ -37,6 +37,7 @@ module Obs = Chase_obs.Obs
 module Tracectx = Chase_obs.Tracectx
 module Flight = Chase_obs.Flight
 module Telemetry = Chase_obs.Telemetry
+module Jsonv = Chase_obs.Jsonv
 
 type config = {
   socket : string;
@@ -148,48 +149,14 @@ let gauge_depth t =
 (* Trace context and the flight recorder                               *)
 (* ------------------------------------------------------------------ *)
 
-(** A traced request in flight: the client's root context and the
-    server span minted under it.  Only built when the request carried a
-    well-formed context {e and} this server writes a shard — tracing is
-    free for everyone else. *)
-type treq = {
-  root : Tracectx.t;
-  server : Tracectx.t;
-  arrival_us : float;
-}
-
-let treq_of t req =
-  match (t.shard, req.Proto.trace) with
-  | Some _, Some s ->
-    Option.map
-      (fun root ->
-        { root; server = Tracectx.child root; arrival_us = Tracectx.now_us () })
-      (Tracectx.of_string s)
-  | _ -> None
-
-(* A child span of the server span: fresh id, parented under it. *)
-let span_child t c ~name ~ts_us ~dur_us ?args () =
-  Option.iter
-    (fun w ->
-      Tracectx.Shard.span w
-        ~ctx:(Tracectx.child c.root)
-        ~parent:c.server.Tracectx.span ~name ~ts_us ~dur_us ?args ())
-    t.shard
-
-let instant_child t c ~name ?args () =
-  span_child t c ~name ~ts_us:(Tracectx.now_us ()) ~dur_us:0. ?args ()
-
-(* The server span itself, emitted once the final response is known. *)
-let span_server t c ~op ~status =
-  Option.iter
-    (fun w ->
-      Tracectx.Shard.span w ~ctx:c.server ~parent:c.root.Tracectx.span
-        ~name:("server." ^ Proto.op_to_string op)
-        ~ts_us:c.arrival_us
-        ~dur_us:(Tracectx.now_us () -. c.arrival_us)
-        ~args:[ ("status", Chase_obs.Jsonv.String status) ]
-        ())
-    t.shard
+(* The client's root context of a traced request, when this server
+   writes a shard: the server span is minted under it, and every span
+   of the request under the server span.  Tracing is free for everyone
+   else. *)
+let trace_root t req =
+  match t.shard with
+  | Some _ -> Option.bind req.Proto.trace Tracectx.of_string
+  | None -> None
 
 let status_of_response = function
   | Proto.Ok_response r -> if r.Proto.cached then "ok-cached" else "ok"
@@ -407,17 +374,12 @@ let default_budget = function
   | _ -> 100_000
 
 (* The worker-side job.  [reply] abstracts over "a connection" vs "boot
-   recovery" (which has nobody to answer).  [tctx]/[queued_us] carry
-   the trace context and the admission-queue entry time for span
-   accounting. *)
-let run_job t req ~key ~tctx ~queued_us ~progress ~reply =
+   recovery" (which has nobody to answer).  [parent] is the request's
+   server span, when traced, and [queued_us] its admission-queue entry
+   time. *)
+let run_job t req ~key ?parent ~queued_us ~progress ~reply () =
   let t0 = Unix.gettimeofday () in
-  Option.iter
-    (fun c ->
-      let now = Tracectx.now_us () in
-      span_child t c ~name:"admission.queue" ~ts_us:queued_us
-        ~dur_us:(now -. queued_us) ())
-    tctx;
+  Tracectx.span t.shard ?parent ~since:queued_us "admission.queue" ignore;
   let timeout_s =
     Option.value ~default:t.cfg.default_timeout req.Proto.timeout_s
   in
@@ -430,17 +392,14 @@ let run_job t req ~key ~tctx ~queued_us ~progress ~reply =
     (* budget starvation is overload too: shed late, but honestly *)
     Cache.abort t.cache key;
     with_obs t (fun obs -> Obs.incr obs ~label:"pool" "svc.shed");
-    Flight.record ~kind:"shed" ~name:"pool" key;
+    Flight.instant "shed"
+      ~args:[ ("source", Jsonv.String "pool"); ("key", Jsonv.String key) ];
     flight_dump_limited t ~reason:"pool-shed";
     reply (Proto.Overloaded (Admission.ewma_service_s t.adm))
   | Some grant ->
-    Option.iter
-      (fun c ->
-        span_child t c ~name:"pool.acquire" ~ts_us:acquire_us
-          ~dur_us:(Tracectx.now_us () -. acquire_us)
-          ~args:[ ("grant", Chase_obs.Jsonv.Int grant) ]
-          ())
-      tctx;
+    Tracectx.span t.shard ?parent ~since:acquire_us
+      ~args:(fun () -> [ ("grant", Jsonv.Int grant) ])
+      "pool.acquire" ignore;
     let cancel = Limits.Cancel.create () in
     locked t (fun () -> t.tokens <- cancel :: t.tokens);
     Fun.protect
@@ -450,19 +409,16 @@ let run_job t req ~key ~tctx ~queued_us ~progress ~reply =
             t.tokens <- List.filter (fun c -> c != cancel) t.tokens))
       (fun () ->
         let timeout = Float.max 0.01 (deadline -. Unix.gettimeofday ()) in
-        let run_us = Tracectx.now_us () in
-        let result, retain = execute t req ~grant ~timeout ~cancel ~progress in
-        Option.iter
-          (fun c ->
-            span_child t c ~name:"engine.run" ~ts_us:run_us
-              ~dur_us:(Tracectx.now_us () -. run_us)
-              ~args:
-                [
-                  ("op", Chase_obs.Jsonv.String (Proto.op_to_string req.Proto.op));
-                  ("exit", Chase_obs.Jsonv.Int result.Proto.exit_code);
-                ]
-              ())
-          tctx;
+        let result, retain =
+          Tracectx.span t.shard ?parent
+            ~args:(fun (result, _) ->
+              [
+                ("op", Jsonv.String (Proto.op_to_string req.Proto.op));
+                ("exit", Jsonv.Int result.Proto.exit_code);
+              ])
+            "engine.run"
+            (fun () -> execute t req ~grant ~timeout ~cancel ~progress)
+        in
         if t.killed then
           (* simulated crash: the process is "dead" — nothing visible
              may happen after this point *)
@@ -473,18 +429,11 @@ let run_job t req ~key ~tctx ~queued_us ~progress ~reply =
             let bytes =
               Proto.encode_response ~id:"-" (Proto.Ok_response result)
             in
-            let fsync_us = Tracectx.now_us () in
-            Spool.put_response spool ~key bytes;
-            Option.iter
-              (fun c ->
-                span_child t c ~name:"spool.fsync" ~ts_us:fsync_us
-                  ~dur_us:(Tracectx.now_us () -. fsync_us)
-                  ~args:[ ("kind", Chase_obs.Jsonv.String "resp") ]
-                  ())
-              tctx;
-            let trace =
-              Option.map (fun c -> Tracectx.to_string c.server) tctx
-            in
+            Tracectx.span t.shard ?parent
+              ~args:(fun () -> [ ("kind", Jsonv.String "resp") ])
+              "spool.fsync"
+              (fun () -> Spool.put_response spool ~key bytes);
+            let trace = Option.map Tracectx.to_string parent in
             Option.iter (fun f -> f `Resp ~key ~trace bytes) t.cfg.on_durable
           | _ -> ());
           Cache.publish t.cache key (Some result) ~retain;
@@ -501,7 +450,7 @@ let run_job t req ~key ~tctx ~queued_us ~progress ~reply =
    request boot recovery just read from the spool: it is durable
    already, so it is neither written nor shipped again, and the boot
    does not wait on a standby's ack for it. *)
-let handle_work ?progress ?tctx ?(recovered = false) t req ~reply =
+let handle_work ?progress ?parent ?(recovered = false) t req ~reply =
   let key = Proto.request_key req in
   let spooled =
     match (req.Proto.durable, t.spool) with
@@ -518,24 +467,18 @@ let handle_work ?progress ?tctx ?(recovered = false) t req ~reply =
   | Some r ->
     locked t (fun () -> t.cache_hits <- t.cache_hits + 1);
     with_obs t (fun obs -> Obs.incr obs ~label:"spool" "svc.cache_hit");
-    Option.iter
-      (fun c ->
-        instant_child t c ~name:"cache.hit"
-          ~args:[ ("source", Chase_obs.Jsonv.String "spool") ]
-          ())
-      tctx;
+    Tracectx.instant t.shard ?parent
+      ~args:[ ("source", Jsonv.String "spool") ]
+      "cache.hit";
     reply (Proto.Ok_response r)
   | None -> (
     match Cache.take t.cache key with
     | Cache.Hit r ->
       locked t (fun () -> t.cache_hits <- t.cache_hits + 1);
       with_obs t (fun obs -> Obs.incr obs ~label:"mem" "svc.cache_hit");
-      Option.iter
-        (fun c ->
-          instant_child t c ~name:"cache.hit"
-            ~args:[ ("source", Chase_obs.Jsonv.String "mem") ]
-            ())
-        tctx;
+      Tracectx.instant t.shard ?parent
+        ~args:[ ("source", Jsonv.String "mem") ]
+        "cache.hit";
       reply (Proto.Ok_response r)
     | Cache.Lead -> (
       (* acknowledge durable requests before admission: from here on a
@@ -543,20 +486,15 @@ let handle_work ?progress ?tctx ?(recovered = false) t req ~reply =
       (match (req.Proto.durable, t.spool) with
       | true, Some spool when not recovered ->
         let bytes = Proto.encode_request req in
-        let fsync_us = Tracectx.now_us () in
-        Spool.put_request spool ~key bytes;
-        Option.iter
-          (fun c ->
-            span_child t c ~name:"spool.fsync" ~ts_us:fsync_us
-              ~dur_us:(Tracectx.now_us () -. fsync_us)
-              ~args:[ ("kind", Chase_obs.Jsonv.String "req") ]
-              ())
-          tctx;
-        let trace = Option.map (fun c -> Tracectx.to_string c.server) tctx in
+        Tracectx.span t.shard ?parent
+          ~args:(fun () -> [ ("kind", Jsonv.String "req") ])
+          "spool.fsync"
+          (fun () -> Spool.put_request spool ~key bytes);
+        let trace = Option.map Tracectx.to_string parent in
         Option.iter (fun f -> f `Req ~key ~trace bytes) t.cfg.on_durable
       | _ -> ());
       let queued_us = Tracectx.now_us () in
-      let run () = run_job t req ~key ~tctx ~queued_us ~progress ~reply in
+      let run = run_job t req ~key ?parent ~queued_us ~progress ~reply in
       let abandon () =
         Cache.abort t.cache key;
         reply (Proto.Server_error "server shutting down")
@@ -566,9 +504,10 @@ let handle_work ?progress ?tctx ?(recovered = false) t req ~reply =
       | `Shed retry_after ->
         Cache.abort t.cache key;
         with_obs t (fun obs -> Obs.incr obs ~label:"queue" "svc.shed");
-        Flight.record ~kind:"shed" ~name:"queue" key;
+        Flight.instant "shed"
+          ~args:[ ("source", Jsonv.String "queue"); ("key", Jsonv.String key) ];
         flight_dump_limited t ~reason:"queue-shed";
-        Option.iter (fun c -> instant_child t c ~name:"shed" ()) tctx;
+        Tracectx.instant t.shard ?parent "shed";
         reply (Proto.Overloaded retry_after)))
 
 (* ------------------------------------------------------------------ *)
@@ -746,9 +685,12 @@ let rec handle_conn t conn =
           with_obs t (fun obs ->
               Obs.incr obs ~label:(Proto.op_to_string req.Proto.op)
                 "svc.requests");
-          Flight.record ~kind:"request"
-            ~name:(Proto.op_to_string req.Proto.op)
-            req.Proto.id;
+          Flight.instant "request"
+            ~args:
+              [
+                ("op", Jsonv.String (Proto.op_to_string req.Proto.op));
+                ("id", Jsonv.String req.Proto.id);
+              ];
           let reply resp =
             respond t conn ~id:req.Proto.id ?trace:req.Proto.trace resp
           in
@@ -776,27 +718,29 @@ let rec handle_conn t conn =
             (* streaming: only a leading chase emits progress frames —
                cache hits, joined flights and spool-served responses
                answer with the final frame alone *)
-            let tctx = treq_of t req in
-            let reply =
-              match tctx with
-              | None -> reply
-              | Some c ->
-                fun resp ->
-                  (* the server span closes with the final frame;
-                     progress frames ride inside it *)
-                  (match resp with
-                  | Proto.Progress _ -> ()
-                  | _ ->
-                    span_server t c ~op:req.Proto.op
-                      ~status:(status_of_response resp));
-                  reply resp
+            let root = trace_root t req in
+            let parent = Option.map Tracectx.child root in
+            let arrival_us = Tracectx.now_us () in
+            let reply resp =
+              (* the server span closes with the final frame; progress
+                 frames ride inside it *)
+              (match resp with
+              | Proto.Progress _ -> ()
+              | _ ->
+                Tracectx.span t.shard ?parent:root ?ctx:parent
+                  ~since:arrival_us
+                  ~args:(fun () ->
+                    [ ("status", Jsonv.String (status_of_response resp)) ])
+                  ("server." ^ Proto.op_to_string req.Proto.op)
+                  ignore);
+              reply resp
             in
             let progress =
               if req.Proto.stream && req.Proto.op = Proto.Chase then
                 Some (fun p -> reply (Proto.Progress p))
               else None
             in
-            handle_work ?progress ?tctx t req ~reply;
+            handle_work ?progress ?parent t req ~reply;
             loop ()))
   in
   loop ()
@@ -856,7 +800,7 @@ let recover_pending t =
         | Some (Ok req) ->
           locked t (fun () -> t.recovered <- t.recovered + 1);
           with_obs t (fun obs -> Obs.incr obs "svc.recovered");
-          Flight.record ~kind:"recovery" ~name:"replay" key;
+          Flight.instant "recovery" ~args:[ ("key", Jsonv.String key) ];
           (* Re-run through the normal work path (nobody to answer);
              the journal written before the kill is resumed.  An
              acknowledged request must not be dropped by its own
@@ -884,14 +828,14 @@ let start cfg =
   Unix.listen listener 64;
   (* [force]d live even with no metrics file: the telemetry op snapshots
      this registry, so it must always be recording *)
+  (match cfg.flight with
+  | Some _ as path -> Flight.configure ~path
+  | None -> ());
   let obs, obs_close =
     match Obs.files ?metrics:cfg.metrics ~force:true () with
     | Ok pair -> pair
     | Error _ -> (Obs.disabled, ignore)
   in
-  (match cfg.flight with
-  | Some _ as path -> Flight.configure ~path
-  | None -> ());
   let shard =
     Option.map
       (fun path ->

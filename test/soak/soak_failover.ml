@@ -324,14 +324,12 @@ let () =
     (fun _ e ->
       bump requests;
       let root = Tracectx.genesis () in
-      let t0_us = Tracectx.now_us () in
       let req = { e.req with Proto.trace = Some (Tracectx.to_string root) } in
-      match Client.call_retry ~attempts:4 ~socket:standby_socket req with
+      match
+        Tracectx.span (Some shard) ~ctx:root "client.request" (fun () ->
+            Client.call_retry ~attempts:4 ~socket:standby_socket req)
+      with
       | Ok (Proto.Ok_response r) ->
-        Tracectx.Shard.span shard ~ctx:root ~name:"client.request"
-          ~ts_us:t0_us
-          ~dur_us:(Tracectx.now_us () -. t0_us)
-          ();
         bump oks;
         check_parity "standby" e r
       | Ok _ -> assert false

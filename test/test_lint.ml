@@ -376,6 +376,35 @@ let test_corpus_explained () =
   Alcotest.(check bool) "a causal warning is attached" true
     (List.exists Diagnostic.is_warning report.Lint.diagnostics)
 
+(* Explained under two variants, each verdict keeps its own warning,
+   tagged with the variant it explains — even when the two witnesses
+   are equal, as genealogy's o and so guard chains are. *)
+let test_explain_names_variant () =
+  let variants = [ Variant.Oblivious; Variant.Semi_oblivious ] in
+  let report = lint ~explain:variants (read_data "genealogy.chase") in
+  let w021 = diags_of_code Diagnostic.W021 report in
+  Alcotest.(check int) "one W021 per diverging verdict" 2 (List.length w021);
+  Alcotest.(check (list string)) "each names its variant"
+    (List.map Variant.to_string variants)
+    (List.filter_map
+       (fun d -> Option.map Variant.to_string d.Diagnostic.variant)
+       w021);
+  (match w021 with
+  | [ o; so ] ->
+    Alcotest.(check string) "equal witnesses" o.Diagnostic.message
+      so.Diagnostic.message;
+    Alcotest.(check bool) "the human line names the variant" true
+      (contains (Fmt.str "%a" (Diagnostic.pp ?file:None) so) "(semi-oblivious)");
+    Alcotest.(check (option string)) "so does the JSON" (Some "semi-oblivious")
+      (Option.bind
+         (Jsonv.member "variant" (Diagnostic.to_json so))
+         Jsonv.to_string_opt)
+  | _ -> ());
+  (* static findings carry no variant *)
+  let plain = lint "p(X,X) -> q(X,Z).\n" in
+  Alcotest.(check bool) "static diagnostics carry none" true
+    (List.for_all (fun d -> d.Diagnostic.variant = None) plain.Lint.diagnostics)
+
 (* ------------------------------------------------------------------ *)
 (* Explainer/Decide agreement on seeded rule sets                       *)
 (* ------------------------------------------------------------------ *)
@@ -499,4 +528,6 @@ let suite =
     fuzz_token_soup;
     fuzz_mutated_corpora;
     fuzz_random_rules;
+    Alcotest.test_case "explain diagnostics name their variant" `Quick
+      test_explain_names_variant;
   ]

@@ -44,73 +44,125 @@ let parse_line i l =
 let str_member k j = Option.bind (Jsonv.member k j) Jsonv.to_string_opt
 
 (* ------------------------------------------------------------------ *)
-(* Span well-formedness                                                *)
+(* Span records                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Replay a ["type"]-discriminated JSONL event stream against a stack:
-   every end must match the innermost open span, and nothing may remain
-   open at the end of the stream. *)
-let replay_jsonl events =
-  List.fold_left
-    (fun (i, stack) j ->
-      let name () =
-        match str_member "name" j with
-        | Some n -> n
-        | None -> Alcotest.failf "event %d: missing name" i
-      in
-      match str_member "type" j with
-      | Some "begin" -> (i + 1, name () :: stack)
-      | Some "end" -> (
-        match stack with
-        | top :: below ->
-          Alcotest.(check string)
-            (Fmt.str "event %d ends the innermost span" i)
-            top (name ());
-          (i + 1, below)
-        | [] -> Alcotest.failf "event %d: end %S with no open span" i (name ()))
-      | Some ("instant" | "series") -> (i + 1, stack)
-      | Some t -> Alcotest.failf "event %d: unknown type %S" i t
-      | None -> Alcotest.failf "event %d: missing type" i)
-    (0, []) events
+(* The records an observed run yields, each written as a JSONL line the
+   way the trace writer does and re-read through [parse_shard_line]. *)
+let records_sink b =
+  Tracectx.records (fun r ->
+      Buffer.add_string b (Jsonv.to_string (Tracectx.record_to_json r));
+      Buffer.add_char b '\n')
+
+let reparse out =
+  List.mapi
+    (fun i l ->
+      match Tracectx.parse_shard_line l with
+      | Some r -> r
+      | None -> Alcotest.failf "line %d is not a record: %S" i l)
+    (lines out)
+
+(* A run's records form one tree: one trace, exactly one root, every
+   parent resolves, and every span lies inside its parent's interval
+   (to the microsecond a start time is written with). *)
+let check_tree records =
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace by_id r.Tracectx.r_span r) records;
+  Alcotest.(check int) "span ids are distinct" (List.length records)
+    (Hashtbl.length by_id);
+  (match List.sort_uniq compare (List.map (fun r -> r.Tracectx.r_trace) records) with
+  | [ _ ] -> ()
+  | ts -> Alcotest.failf "%d traces, want one" (List.length ts));
+  (match List.filter (fun r -> r.Tracectx.r_parent = None) records with
+  | [ _ ] -> ()
+  | roots -> Alcotest.failf "%d roots, want one" (List.length roots));
+  List.iter
+    (fun r ->
+      match r.Tracectx.r_parent with
+      | None -> ()
+      | Some p -> (
+        match Hashtbl.find_opt by_id p with
+        | None -> Alcotest.failf "%S: unknown parent %s" r.Tracectx.r_name p
+        | Some q ->
+          let ends x = x.Tracectx.r_ts_us +. x.Tracectx.r_dur_us in
+          Alcotest.(check bool)
+            (Fmt.str "%S nests inside %S" r.Tracectx.r_name q.Tracectx.r_name)
+            true
+            (r.Tracectx.r_ts_us >= q.Tracectx.r_ts_us && ends r <= ends q +. 1.)))
+    records
 
 let test_jsonl_spans () =
-  let result, _, out = observed_run (fun b -> Sink.jsonl (Buffer.add_string b)) in
+  let result, _, out = observed_run records_sink in
   Alcotest.(check bool) "run terminated" true (result.Engine.status = Engine.Terminated);
-  let events = List.mapi parse_line (lines out) in
-  Alcotest.(check bool) "stream is non-empty" true (events <> []);
-  let _, open_spans = replay_jsonl events in
-  Alcotest.(check (list string)) "no span left open" [] open_spans;
-  (* the outermost span is the whole chase run *)
-  match events with
-  | first :: _ ->
-    Alcotest.(check (option string)) "first event opens the chase span"
-      (Some "chase") (str_member "name" first)
+  let records = reparse out in
+  Alcotest.(check bool) "stream is non-empty" true (records <> []);
+  check_tree records;
+  (* the root stands for the observed run and is written last; its one
+     child is the whole chase run *)
+  match List.rev records with
+  | root :: _ ->
+    Alcotest.(check (option string)) "root written last" None
+      root.Tracectx.r_parent;
+    Alcotest.(check (list string)) "the chase span is the root's one child"
+      [ "chase" ]
+      (List.filter_map
+         (fun r ->
+           if r.Tracectx.r_parent = Some root.Tracectx.r_span then
+             Some r.Tracectx.r_name
+           else None)
+         records)
   | [] -> ()
 
+(* Records through the one Chrome renderer: a valid array, one process
+   name, X events whose args carry resolvable ids.  [sink_events] must
+   close the sink it is given (finishing its Obs does). *)
+let chrome_of_records sink_events =
+  let buf = Buffer.create 4096 in
+  let w = Tracectx.Chrome.create (Buffer.add_string buf) in
+  let s =
+    Tracectx.records
+      ~on_series:(fun ~name ~ts_us values ->
+        Tracectx.Chrome.sample w ~name ~ts_us values)
+      (Tracectx.Chrome.record w)
+  in
+  sink_events s;
+  Tracectx.Chrome.close w;
+  Buffer.contents buf
+
 let test_trace_spans () =
-  let _, _, out = observed_run (fun b -> Sink.trace (Buffer.add_string b)) in
+  let out =
+    chrome_of_records (fun s ->
+        let rules = Lazy.force tower in
+        let db = Instance.to_list (Critical.of_rules ~standard:false rules) in
+        let obs = Obs.create [ s ] in
+        ignore (observed_chase ~obs rules db);
+        Obs.series obs "watchdog" [ ("step", 1.) ];
+        Obs.finish obs)
+  in
   match Jsonv.of_string out with
   | Error msg -> Alcotest.failf "trace is not valid JSON: %s" msg
   | Ok (Jsonv.List events) ->
-    Alcotest.(check bool) "trace is non-empty" true (events <> []);
-    let final =
-      List.fold_left
-        (fun stack ev ->
-          let name = Option.get (str_member "name" ev) in
-          match str_member "ph" ev with
-          | Some "B" -> name :: stack
-          | Some "E" -> (
-            match stack with
-            | top :: below ->
-              Alcotest.(check string) "balanced end" top name;
-              below
-            | [] -> Alcotest.failf "end %S with no open span" name)
-          | Some ("i" | "C") -> stack
-          | ph ->
-            Alcotest.failf "unknown phase %a" Fmt.(Dump.option string) ph)
-        [] events
+    let ph ev = str_member "ph" ev in
+    let xs = List.filter (fun ev -> ph ev = Some "X") events in
+    Alcotest.(check int) "one process name" 1
+      (List.length (List.filter (fun ev -> ph ev = Some "M") events));
+    Alcotest.(check int) "one counter sample" 1
+      (List.length (List.filter (fun ev -> ph ev = Some "C") events));
+    Alcotest.(check int) "nothing but M, X and C"
+      (List.length events) (List.length xs + 2);
+    let arg k ev =
+      Option.bind (Jsonv.member "args" ev) (fun a -> str_member k a)
     in
-    Alcotest.(check (list string)) "trace spans balance" [] final;
+    let spans = List.filter_map (arg "span") xs in
+    Alcotest.(check int) "every X event names its span" (List.length xs)
+      (List.length spans);
+    let parents = List.filter_map (arg "parent") xs in
+    Alcotest.(check int) "exactly one root" 1
+      (List.length xs - List.length parents);
+    List.iter
+      (fun p ->
+        Alcotest.(check bool) "parent resolves" true (List.mem p spans))
+      parents;
     List.iter
       (fun ev ->
         match Option.bind (Jsonv.member "ts" ev) Jsonv.to_float_opt with
@@ -120,20 +172,29 @@ let test_trace_spans () =
       events
   | Ok _ -> Alcotest.fail "trace top level is not an array"
 
-(* An empty trace still closes to valid JSON. *)
+(* An empty trace still closes to valid JSON; an instance that observed
+   nothing still yields its root span. *)
 let test_empty_trace () =
   let buf = Buffer.create 64 in
-  let s = Sink.trace (Buffer.add_string buf) in
-  s.Sink.close ();
-  match Jsonv.of_string (Buffer.contents buf) with
+  let w = Tracectx.Chrome.create (Buffer.add_string buf) in
+  Tracectx.Chrome.close w;
+  (match Jsonv.of_string (Buffer.contents buf) with
   | Ok (Jsonv.List []) -> ()
   | Ok j -> Alcotest.failf "expected [], got %a" Jsonv.pp j
-  | Error msg -> Alcotest.failf "empty trace invalid: %s" msg
+  | Error msg -> Alcotest.failf "empty trace invalid: %s" msg);
+  match Jsonv.of_string (chrome_of_records (fun s -> Obs.finish (Obs.create [ s ]))) with
+  | Ok (Jsonv.List [ m; root ]) ->
+    Alcotest.(check (option string)) "process name first" (Some "M")
+      (str_member "ph" m);
+    Alcotest.(check (option string)) "then the root span" (Some "X")
+      (str_member "ph" root)
+  | Ok j -> Alcotest.failf "expected [M; X], got %a" Jsonv.pp j
+  | Error msg -> Alcotest.failf "root-only trace invalid: %s" msg
 
 (* Stray ends are dropped, unclosed spans are closed by [finish]. *)
 let test_span_discipline () =
   let buf = Buffer.create 256 in
-  let obs = Obs.create [ Sink.jsonl (Buffer.add_string buf) ] in
+  let obs = Obs.create [ records_sink buf ] in
   Obs.span_begin obs "outer";
   Obs.span_begin obs "inner";
   Obs.span_end obs "outer";
@@ -141,9 +202,23 @@ let test_span_discipline () =
   Obs.span_end obs "inner";
   Obs.span_begin obs "left-open";
   Obs.finish obs;
-  let events = List.mapi parse_line (lines (Buffer.contents buf)) in
-  let _, open_spans = replay_jsonl events in
-  Alcotest.(check (list string)) "finish closed everything" [] open_spans
+  let records = reparse (Buffer.contents buf) in
+  check_tree records;
+  let parent_name r =
+    Option.map
+      (fun p ->
+        (List.find (fun q -> q.Tracectx.r_span = p) records).Tracectx.r_name)
+      r.Tracectx.r_parent
+  in
+  Alcotest.(check (list (pair string (option string))))
+    "finish closed everything, innermost first"
+    [
+      ("inner", Some "outer");
+      ("left-open", Some "outer");
+      ("outer", Some Tracectx.program);
+      (Tracectx.program, None);
+    ]
+    (List.map (fun r -> (r.Tracectx.r_name, parent_name r)) records)
 
 (* ------------------------------------------------------------------ *)
 (* Histogram quantile math                                             *)
@@ -350,20 +425,31 @@ let sink_fuzz =
           (fun l -> Result.is_ok (Jsonv.of_string l))
           (lines (Buffer.contents buf))
       in
-      (* trace: the whole file parses as one array, whatever the event
-         interleaving (balance is the emitter's job, not the sink's) *)
+      (* records through the Chrome renderer: the whole file parses as
+         one array, whatever the event interleaving, holding one process
+         name plus one event per record (the root included) and sample *)
       let buf2 = Buffer.create 256 in
-      let t = Sink.trace (Buffer.add_string buf2) in
+      let w = Tracectx.Chrome.create (Buffer.add_string buf2) in
+      let n = ref 0 in
+      let t =
+        Tracectx.records
+          ~on_series:(fun ~name ~ts_us values ->
+            incr n;
+            Tracectx.Chrome.sample w ~name ~ts_us values)
+          (fun r ->
+            incr n;
+            Tracectx.Chrome.record w r)
+      in
       List.iter t.Sink.emit events;
-      t.Sink.flush ();
       t.Sink.close ();
+      Tracectx.Chrome.close w;
       let trace_ok =
         match Jsonv.of_string (Buffer.contents buf2) with
-        | Ok (Jsonv.List l) -> List.length l = List.length events
+        | Ok (Jsonv.List l) -> List.length l = !n + 1
         | _ -> false
       in
       (* null and tee compose without raising *)
-      let n = Sink.tee [ Sink.null; Sink.filter Sink.is_point Sink.null ] in
+      let n = Sink.tee [ Sink.null; Sink.null ] in
       List.iter n.Sink.emit events;
       n.Sink.close ();
       jsonl_ok && trace_ok)

@@ -652,6 +652,62 @@ let test_failover_soak () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Promotion does not wait on the certifier                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A standby certifying a 27,000-record journal (a 30-cycle's
+   transitive closure) is stopped, as a promotion stops it, a tenth of
+   the way into the re-run: [stop] must cancel the certification rather
+   than join it, and the cut-short run must not count as certified.  A
+   receiver asleep in a long [cert_interval] must wake on [stop] too. *)
+let test_stop_cancels_certification () =
+  let spool = tmp ".cspool" in
+  Unix.mkdir spool 0o755;
+  let program = cycle_graph 30 in
+  write_file
+    (Filename.concat spool "t.req")
+    (Proto.encode_request
+       (Proto.request ~program ~variant:"oblivious" Proto.Chase));
+  let o =
+    Driver.chase_opts ~variant:Variant.Oblivious ~budget:100_000 ~quiet:true
+      ~journal:(Filename.concat spool "t.jnl") ()
+  in
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  Alcotest.(check int) "journaled run terminates" 0
+    (Driver.chase o ~file:"t.chase" ~src:program ~out:null ~err:null);
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "the journal certifies" true
+    (Receiver.certify_one ~spool_dir:spool "t.jnl" = Some (Ok 27_000));
+  let cert_s = Unix.gettimeofday () -. t0 in
+  let stop_after ~cert_interval ~delay =
+    let socket = tmp ".csock" in
+    let r =
+      Receiver.start (Receiver.config ~cert_interval ~spool_dir:spool ~socket ())
+    in
+    Thread.delay delay;
+    let t0 = Unix.gettimeofday () in
+    Receiver.stop r;
+    (Unix.gettimeofday () -. t0, Receiver.stats r)
+  in
+  let stop_s, stats = stop_after ~cert_interval:0.01 ~delay:(cert_s /. 10.) in
+  Alcotest.(check bool)
+    (Fmt.str "stop took %.3fs, well under the %.3fs certification" stop_s cert_s)
+    true
+    (stop_s < cert_s /. 2.);
+  Alcotest.(check int) "a cancelled certification is not certified" 0
+    (List.assoc "certified" stats);
+  Alcotest.(check int) "nor a failure" 0 (List.assoc "cert_fails" stats);
+  (* the certifier's sleep: the first sweep certifies, then it sleeps *)
+  let stop_s, stats = stop_after ~cert_interval:30. ~delay:(3. *. cert_s) in
+  Alcotest.(check int) "certified before the sleep" 1
+    (List.assoc "certified" stats);
+  Alcotest.(check bool)
+    (Fmt.str "stop took %.3fs, not the 30s sleep" stop_s)
+    true (stop_s < 5.);
+  Array.iter (fun f -> Sys.remove (Filename.concat spool f)) (Sys.readdir spool);
+  Unix.rmdir spool
+
 let suite =
   [
     Alcotest.test_case "shipframe-roundtrip" `Quick test_shipframe_roundtrip;
@@ -661,4 +717,6 @@ let suite =
     Alcotest.test_case "shipper-chaos-resync" `Quick test_shipper_chaos_resync;
     Alcotest.test_case "streaming-progress" `Slow test_streaming_progress;
     Alcotest.test_case "failover-soak" `Slow test_failover_soak;
+    Alcotest.test_case "receiver-stop-cancels-certification" `Quick
+      test_stop_cancels_certification;
   ]

@@ -71,32 +71,49 @@ let test_wire_roundtrip () =
 
 let test_shard_write_parse () =
   let path = tmp_name ".jsonl" in
-  let w = Tracectx.Shard.open_ ~proc:"test" path in
+  let w = Some (Tracectx.Shard.open_ ~proc:"test" path) in
   let ctx = Tracectx.genesis () in
-  let kid = Tracectx.child ctx in
-  Tracectx.Shard.span w ~ctx ~name:"root" ~ts_us:1000. ~dur_us:50. ();
-  Tracectx.Shard.span w ~ctx:kid ~parent:ctx.Tracectx.span ~name:"child"
-    ~ts_us:1010. ~dur_us:20.
-    ~args:[ ("op", Chase_obs.Jsonv.String "chase") ]
-    ();
-  Tracectx.Shard.close w;
+  (* the bracket writes the root, its child and an instant under it;
+     a bracket without a writer or a context only runs its thunk *)
+  let v =
+    Tracectx.span w ~ctx "root" (fun () ->
+        Tracectx.span w ~parent:ctx
+          ~args:(fun n -> [ ("op", Chase_obs.Jsonv.String "chase"); ("n", Chase_obs.Jsonv.Int n) ])
+          "child"
+          (fun () ->
+            Tracectx.instant w ~parent:ctx "mark";
+            Tracectx.instant w "no-parent";
+            Tracectx.span None ~parent:ctx "no-writer" (fun () -> 41) + 1))
+  in
+  Alcotest.(check int) "the bracket returns its thunk's value" 42 v;
+  Option.iter Tracectx.Shard.close w;
   let records =
     String.split_on_char '\n' (read_file path)
     |> List.filter_map Tracectx.parse_shard_line
   in
   (match records with
-  | [ r1; r2 ] ->
-    Alcotest.(check string) "proc" "test" r1.Tracectx.r_proc;
-    Alcotest.(check string) "root name" "root" r1.Tracectx.r_name;
+  | [ mark; kid; root ] ->
+    Alcotest.(check string) "proc" "test" root.Tracectx.r_proc;
+    Alcotest.(check string) "root name" "root" root.Tracectx.r_name;
+    Alcotest.(check string) "root span id" ctx.Tracectx.span
+      root.Tracectx.r_span;
     Alcotest.(check (option string)) "root has no parent" None
-      r1.Tracectx.r_parent;
-    Alcotest.(check string) "same trace" r1.Tracectx.r_trace
-      r2.Tracectx.r_trace;
+      root.Tracectx.r_parent;
+    Alcotest.(check string) "same trace" root.Tracectx.r_trace
+      kid.Tracectx.r_trace;
     Alcotest.(check (option string)) "child parents on root"
-      (Some ctx.Tracectx.span) r2.Tracectx.r_parent;
-    Alcotest.(check bool) "args survive" true
-      (List.mem_assoc "op" r2.Tracectx.r_args)
-  | rs -> Alcotest.failf "expected 2 records, parsed %d" (List.length rs));
+      (Some ctx.Tracectx.span) kid.Tracectx.r_parent;
+    Alcotest.(check bool) "args rendered from the result" true
+      (List.assoc_opt "n" kid.Tracectx.r_args = Some (Chase_obs.Jsonv.Int 42));
+    Alcotest.(check bool) "child inside root" true
+      (kid.Tracectx.r_ts_us >= root.Tracectx.r_ts_us
+      && kid.Tracectx.r_ts_us +. kid.Tracectx.r_dur_us
+         <= root.Tracectx.r_ts_us +. root.Tracectx.r_dur_us);
+    Alcotest.(check string) "instant name" "mark" mark.Tracectx.r_name;
+    Alcotest.(check (float 0.)) "instants last 0" 0. mark.Tracectx.r_dur_us;
+    Alcotest.(check (option string)) "instant parents on root"
+      (Some ctx.Tracectx.span) mark.Tracectx.r_parent
+  | rs -> Alcotest.failf "expected 3 records, parsed %d" (List.length rs));
   Sys.remove path;
   (* torn-tail litter parses to None, silently *)
   Alcotest.(check bool) "torn line skipped" true
@@ -107,12 +124,11 @@ let test_sick_sink_counts_drops () =
   let sick = ref false in
   let w = Tracectx.Shard.open_ ~check:(fun () -> !sick) ~proc:"test" path in
   let ctx = Tracectx.genesis () in
-  Tracectx.Shard.span w ~ctx ~name:"before" ~ts_us:1. ~dur_us:1. ();
+  Tracectx.span (Some w) ~ctx "before" ignore;
   sick := true;
   (* the sink died: writes must neither raise nor block, only count *)
   for i = 1 to 5 do
-    Tracectx.Shard.span w ~ctx ~name:(Fmt.str "dropped%d" i) ~ts_us:2.
-      ~dur_us:1. ()
+    Tracectx.span (Some w) ~ctx (Fmt.str "dropped%d" i) ignore
   done;
   Alcotest.(check int) "drops counted" 5 (Tracectx.Shard.drops w);
   Tracectx.Shard.close w;
@@ -152,8 +168,10 @@ let test_merge_to_chrome () =
       mk ~proc:"chasec" ~pid:1 ~name:"client.request" ~ctx ~ts:1000. ();
     ]
   in
-  match Tracectx.merge_to_chrome records with
-  | Jsonv.List events ->
+  let buf = Buffer.create 256 in
+  Tracectx.merge_to_chrome (Buffer.add_string buf) records;
+  match Jsonv.of_string (Buffer.contents buf) with
+  | Ok (Jsonv.List events) ->
     let str k ev = Option.bind (Jsonv.member k ev) Jsonv.to_string_opt in
     let xs, ms =
       List.partition (fun ev -> str "ph" ev = Some "X") events
@@ -187,9 +205,15 @@ let test_merge_to_chrome () =
 let test_flight_ring () =
   Flight.reset ();
   Flight.configure ~path:None;
+  (* unconfigured, the ring stays empty and a dump is a no-op *)
+  Flight.instant "ignored";
+  Alcotest.(check int) "nothing recorded unconfigured" 0 (Flight.recorded ());
+  Flight.dump ~reason:"nowhere";
+  let path = tmp_name ".flight" in
+  Flight.configure ~path:(Some path);
   let overflow = 7 in
   for i = 1 to Flight.size + overflow do
-    Flight.record ~kind:"test" ~name:(Fmt.str "e%d" i) "detail"
+    Flight.instant (Fmt.str "e%d" i) ~args:[ ("i", Chase_obs.Jsonv.Int i) ]
   done;
   Alcotest.(check int) "total recorded" (Flight.size + overflow)
     (Flight.recorded ());
@@ -200,18 +224,14 @@ let test_flight_ring () =
   | first :: _ ->
     Alcotest.(check string) "oldest retained entry"
       (Fmt.str "e%d" (overflow + 1))
-      first.Flight.name
+      first.Tracectx.r_name
   | [] -> Alcotest.fail "empty ring");
   (match List.rev es with
   | last :: _ ->
     Alcotest.(check string) "newest entry"
       (Fmt.str "e%d" (Flight.size + overflow))
-      last.Flight.name
+      last.Tracectx.r_name
   | [] -> ());
-  (* unconfigured dump is a no-op, not an error *)
-  Flight.dump ~reason:"nowhere";
-  let path = tmp_name ".flight" in
-  Flight.configure ~path:(Some path);
   Flight.dump ~reason:"unit-test";
   let lines =
     String.split_on_char '\n' (read_file path)
@@ -219,16 +239,60 @@ let test_flight_ring () =
   in
   Alcotest.(check int) "header + retained entries" (Flight.size + 1)
     (List.length lines);
-  (match Chase_obs.Jsonv.of_string (List.hd lines) with
-  | Ok h ->
-    Alcotest.(check (option string)) "dump reason" (Some "unit-test")
-      (Option.bind
-         (Chase_obs.Jsonv.member "reason" h)
-         Chase_obs.Jsonv.to_string_opt)
-  | Error m -> Alcotest.failf "dump header is not JSON: %s" m);
+  (* every dump line is a span record: the header is the recorder's
+     root, every entry an instant under it *)
+  let records = List.filter_map Tracectx.parse_shard_line lines in
+  Alcotest.(check int) "every line parses as a record" (List.length lines)
+    (List.length records);
+  (match records with
+  | h :: entries ->
+    Alcotest.(check string) "header name" "flight" h.Tracectx.r_name;
+    Alcotest.(check bool) "dump reason" true
+      (List.assoc_opt "reason" h.Tracectx.r_args
+      = Some (Chase_obs.Jsonv.String "unit-test"));
+    List.iter
+      (fun r ->
+        Alcotest.(check (option string)) "entry parents on the header"
+          (Some h.Tracectx.r_span) r.Tracectx.r_parent)
+      entries
+  | [] -> ());
+  (* and the dump renders through the trace-merge renderer *)
+  let buf = Buffer.create 4096 in
+  Tracectx.merge_to_chrome (Buffer.add_string buf) records;
+  (match Chase_obs.Jsonv.of_string (Buffer.contents buf) with
+  | Ok (Chase_obs.Jsonv.List evs) ->
+    Alcotest.(check int) "one X per record plus the process name"
+      (List.length records + 1) (List.length evs)
+  | _ -> Alcotest.fail "merged dump is not a JSON array");
   Flight.configure ~path:None;
   Flight.reset ();
   Sys.remove path
+
+(* A traced CLI run with [--flight]: the ring also holds the records of
+   the Obs instance, and a dump shows them beside the process's own
+   events; without a flight path the instance feeds no ring. *)
+let test_flight_from_obs () =
+  Flight.reset ();
+  let trace = tmp_name ".json" in
+  let observe () =
+    match Obs.files ~trace () with
+    | Ok (obs, close) ->
+      Obs.with_span obs "outer" (fun () -> Obs.instant obs "mark");
+      close ()
+    | Error m -> Alcotest.failf "Obs.files: %s" m
+  in
+  observe ();
+  Alcotest.(check int) "no flight path: nothing recorded" 0 (Flight.recorded ());
+  let path = tmp_name ".flight" in
+  Flight.configure ~path:(Some path);
+  observe ();
+  let names = List.map (fun r -> r.Tracectx.r_name) (Flight.entries ()) in
+  Flight.configure ~path:None;
+  Flight.reset ();
+  Sys.remove trace;
+  Alcotest.(check (list string)) "the instance's records"
+    (List.sort compare [ Tracectx.program; "outer"; "mark" ])
+    (List.sort compare names)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry snapshots                                                 *)
@@ -345,4 +409,6 @@ let suite =
       test_telemetry_renders;
     Alcotest.test_case "service: sick trace sink never blocks a chase" `Quick
       test_sick_sink_never_blocks;
+    Alcotest.test_case "flight: fed by Obs only with a flight path" `Quick
+      test_flight_from_obs;
   ]
