@@ -1,8 +1,10 @@
 # Developer entry points.  CI (.github/workflows/ci.yml) runs `make lint`,
-# `make check`, the benchmark self-test and the quick experiment harness,
-# and in separate jobs `make soak` and `make soak-failover`.  The naive
-# reference matcher is compared with the planned one by the differential
-# tests inside `make test`, not by a rerun of the suite.
+# `make check` and the benchmark self-test, and in separate jobs `make
+# soak` and `make soak-failover`.  The paper's claims are checked by the
+# agreement tests inside `make test`; timings come only from the
+# benchmark (`python3 perfbench/run.py`, see perfbench/README.md).  The
+# naive reference matcher is compared with the planned one by the
+# differential tests inside `make test`, not by a rerun of the suite.
 
 .PHONY: all build test smoke obs-smoke soak soak-failover lint fmt fmt-ml check clean
 

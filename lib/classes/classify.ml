@@ -5,8 +5,9 @@
     - {b guarded} (G): some body atom — the guard — contains every
       universally quantified variable of the rule;
     - {b linear} (L): the body is a single atom (hence trivially guarded);
-    - {b simple linear} (SL): linear, and no variable is repeated in the
-      body atom.
+    - {b simple linear} (SL): linear, no variable is repeated in the
+      body atom, and no constant occurs in the rule (Theorem 1 covers
+      constant-free rules only).
 
     Also recognized: {b full} TGDs (no existential variable, i.e. Datalog
     rules possibly with multiple head atoms), and the {b single-head}
@@ -69,7 +70,9 @@ let unguarded_witness r =
 let rule_is_linear r = match Tgd.body r with [ _ ] -> true | _ -> false
 
 let rule_is_simple_linear r =
-  match Tgd.body r with [ a ] -> Atom.no_repeated_var a | _ -> false
+  match Tgd.body r with
+  | [ a ] -> Atom.no_repeated_var a && Util.Sset.is_empty (Tgd.constants r)
+  | _ -> false
 
 (** The most specific class of a single rule. *)
 let classify_rule r =

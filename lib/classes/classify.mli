@@ -3,7 +3,8 @@
     - {b guarded} (G): some body atom — the guard — contains every
       universally quantified variable;
     - {b linear} (L): the body is a single atom;
-    - {b simple linear} (SL): linear with no repeated body variable.
+    - {b simple linear} (SL): linear with no repeated body variable and
+      no constant.
 
     Also: {b full} (Datalog) rules and the {b single-head} restriction
     of §4. *)

@@ -8,7 +8,9 @@
     random rule sets across generator profiles (varying arity, repeated
     body variables, constants in bodies) and on every shipped program,
     for every chase variant, and on the end-to-end [Decide] verdicts for
-    a subset.
+    a subset.  A second verdict leg checks [Decide] against Theorem 2's
+    procedure on simple linear sets with constants, which Theorem 1 does
+    not cover.
 
     Equality cannot catch a fault both matchers share, such as the
     engine's delta sweep skipping a rule whose body mentions the added
@@ -107,28 +109,52 @@ let families =
           () );
   ]
 
+let answer v = Verdict.answer_to_string (Verdict.answer v)
+
+(* One verdict leg: on every case, the verdict under test must equal the
+   reference verdict.  A case is (context, reference, under test). *)
+let verdicts_agree cases () =
+  List.iter
+    (fun (ctx, reference, under_test) ->
+      Alcotest.(check string) ctx (reference ()) (under_test ()))
+    (cases ())
+
 (* The end-to-end decision procedure must give the same verdict under
    either matcher: its budgeted chases are deterministic per matcher and
    matcher-independent by the identity above. *)
-let decide_agreement () =
-  let check_verdicts name rules =
-    let verdict m =
-      with_matcher m (fun () ->
-          Verdict.answer_to_string
-            (Verdict.answer
-               (Decide.check ~standard:false ~budget:2_000
-                  ~variant:Variant.Semi_oblivious rules)))
-    in
-    Alcotest.(check string) name (verdict Hom.Naive) (verdict Hom.Planned)
-  in
-  for seed = 0 to 24 do
-    check_verdicts
-      (Fmt.str "linear seed %d" seed)
-      (Random_tgds.linear ~seed ());
-    check_verdicts
-      (Fmt.str "guarded seed %d" seed)
-      (Random_tgds.guarded ~seed ())
-  done
+let matcher_cases () =
+  List.concat_map
+    (fun seed ->
+      List.map
+        (fun (family, rules) ->
+          let verdict m () =
+            with_matcher m (fun () ->
+                answer
+                  (Decide.check ~standard:false ~budget:2_000
+                     ~variant:Variant.Semi_oblivious rules))
+          in
+          (Fmt.str "%s seed %d" family seed, verdict Hom.Naive, verdict Hom.Planned))
+        [
+          ("linear", Random_tgds.linear ~seed ());
+          ("guarded", Random_tgds.guarded ~seed ());
+        ])
+    (List.init 25 Fun.id)
+
+(* Theorem 1 covers constant-free rules only.  A simple linear set that
+   mentions constants is a linear set, so Decide's verdict must be the
+   one Theorem 2's procedure gives for it. *)
+let constant_cases () =
+  let profile = { open_profile with Random_tgds.constant_bias = 0.3 } in
+  List.concat_map
+    (fun seed ->
+      let rules = Random_tgds.simple_linear ~seed ~profile () in
+      List.map
+        (fun variant ->
+          ( Fmt.str "simple-linear-constants seed %d %a" seed Variant.pp variant,
+            (fun () -> answer (Linear.check ~standard:false ~variant rules)),
+            fun () -> answer (Decide.check ~standard:false ~variant rules) ))
+        [ Variant.Oblivious; Variant.Semi_oblivious ])
+    (List.init 300 Fun.id)
 
 (* A handcrafted divergent set exercises the exhausted path explicitly:
    the budget-truncated prefixes must agree too. *)
@@ -189,7 +215,7 @@ let suite =
   @ [
       Alcotest.test_case
         "naive = planned: Decide verdicts (50 sets)" `Slow
-        decide_agreement;
+        (verdicts_agree matcher_cases);
       Alcotest.test_case
         "naive = planned: budget-truncated prefixes" `Quick
         exhausted_prefixes_agree;
@@ -200,3 +226,10 @@ let suite =
           (Fmt.str "naive = planned: %s/%s (all variants)" dir file)
           `Quick (shipped_program dir file))
       shipped_programs
+  @ [
+      Alcotest.test_case
+        "Decide = Linear.check: simple linear sets with constants (300 \
+         seeds, o and so)"
+        `Quick
+        (verdicts_agree constant_cases);
+    ]

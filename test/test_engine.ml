@@ -58,7 +58,29 @@ let test_restricted_terminates_on_separator () =
   Alcotest.(check bool) "restricted terminates" true
     ((chase ~variant:Variant.Restricted rules db).Engine.status = Engine.Terminated);
   Alcotest.(check bool) "oblivious diverges" true
-    (exhausted (chase ~variant:Variant.Oblivious ~budget:300 rules db))
+    (exhausted (chase ~variant:Variant.Oblivious ~budget:300 rules db));
+  (* The §4 preview (EXPERIMENTS.md E8): each variant chased on the
+     generic instance.  The restricted separator is the only family
+     whose restricted chase closes while both (semi-)oblivious chases
+     run on. *)
+  let cell rules variant =
+    let generic = Instance.to_list (Critical.generic_of_rules rules) in
+    if exhausted (chase ~variant ~budget:2_000 rules generic) then "DIV" else "term"
+  in
+  List.iter
+    (fun (name, rules, expected) ->
+      Alcotest.(check (list string))
+        (name ^ ": o, so, restricted on the generic instance")
+        expected
+        (List.map (cell rules)
+           [ Variant.Oblivious; Variant.Semi_oblivious; Variant.Restricted ]))
+    [
+      ("restricted-separator", Families.restricted_separator, [ "DIV"; "DIV"; "term" ]);
+      ("example2", Families.example2, [ "DIV"; "DIV"; "DIV" ]);
+      ("single-head-chain-4", Families.single_head_chain 4, [ "term"; "term"; "term" ]);
+      ("sl-cycle-4", Families.sl_cycle 4, [ "DIV"; "DIV"; "DIV" ]);
+      ("separator", Families.separator, [ "DIV"; "term"; "term" ]);
+    ]
 
 let test_fairness_breadth () =
   (* Two independent generators: FIFO must advance both, not starve one. *)
@@ -379,23 +401,40 @@ let test_critical_size_guard () =
     (try ignore (Critical.of_rules ~standard:true big); false
      with Critical.Too_large _ -> true)
 
-(* every database maps homomorphically onto the critical instance *)
+(* Every database maps homomorphically onto the critical instance, so a
+   chase that terminates on the critical instance terminates on every
+   database.  Checked on random linear sets and random databases over
+   their schema: each fact, its constants sent to ✶, is a critical fact,
+   and when the critical so-chase closes, so does the database's. *)
 let critical_absorbs_databases =
   let gen =
     QCheck.Gen.(
-      let const = map (fun i -> Term.Const (Fmt.str "c%d" (i mod 4))) small_nat in
-      let atom p ar = map (fun ts -> Atom.of_list p ts) (list_repeat ar const) in
-      list_size (int_range 1 6) (oneof [ atom "p" 2; atom "q" 1 ]))
+      pair small_nat
+        (list_size (int_range 1 6) (pair small_nat (list_repeat 3 small_nat))))
   in
-  qcheck ~count:100 "critical instance absorbs every database" (QCheck.make gen)
-    (fun db ->
-      let rules = parse "p(X, Y) -> q(Y)." in
-      let crit = Critical.of_rules rules in
-      (* map all constants to ✶ *)
-      let mapped =
-        List.map (Atom.map_terms (fun _ -> Critical.star)) db
+  let print = QCheck.Print.(pair int (list (pair int (list int)))) in
+  qcheck ~count:100 "critical instance absorbs every database"
+    (QCheck.make ~print gen) (fun (seed, facts) ->
+      let rules = Random_tgds.linear ~seed () in
+      let preds = Array.of_list (Schema.to_list (Schema.of_rules rules)) in
+      let db =
+        List.map
+          (fun (p, cs) ->
+            let p, n = preds.(p mod Array.length preds) in
+            Atom.of_list p
+              (List.init n (fun i -> Term.Const (Fmt.str "c%d" (List.nth cs i mod 4)))))
+          facts
       in
-      List.for_all (fun a -> Instance.mem crit a) mapped)
+      let crit = Critical.of_rules rules in
+      List.for_all
+        (fun a -> Instance.mem crit (Atom.map_terms (fun _ -> Critical.star) a))
+        db
+      && ((not (crit_chase_terminates ~budget:2_000 Variant.Semi_oblivious rules))
+         || not
+              (exhausted
+                 (chase ~variant:Variant.Semi_oblivious
+                    ~limits:(Limits.make ~max_triggers:50_000 ~max_atoms:200_000 ())
+                    rules db))))
 
 let suite =
   [

@@ -665,9 +665,9 @@ let drive ?journal ?resume ?(critical = false) ?budget ~variant src =
 let test_kill_point_sweep () =
   let cases =
     [
-      (* the terminating workload, also killed one record before its
-         end *)
-      ("tc", tc_src, false, None, [ 10; 17; 164 ]);
+      (* the terminating workload, killed at each of its first ten
+         records and one record before its end *)
+      ("tc", tc_src, false, None, List.init 10 succ @ [ 17; 164 ]);
       ("divergent_zoo", read_data "divergent_zoo.chase", true, Some 300, []);
       ("genealogy", read_data "genealogy.chase", true, Some 3000, [ 1000 ]);
       (* the restricted chase of a critical instance applies nothing;

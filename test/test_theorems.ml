@@ -1,5 +1,6 @@
-(** Empirical validation of the paper's theorems (the content of
-    EXPERIMENTS.md E1–E2–E4, as fast test-sized versions).
+(** Empirical validation of the paper's theorems: the agreement checks
+    of EXPERIMENTS.md E1, E2 (with E2c's generator profiles), E4a and
+    E5, and the counts behind the E3 and E4b cost shapes.
 
     The chase-simulation oracle decides termination on the critical
     instance with a budget; on the tiny rule sets generated here the
@@ -55,10 +56,29 @@ let thm2_oblivious =
       Verdict.is_terminating (Linear.check ~standard:false ~variant:Variant.Oblivious rules)
       = oracle Variant.Oblivious rules)
 
+(* The semi-oblivious agreement runs over harder generator profiles as
+   well as the default one: more rules at a higher arity, high and low
+   existential bias, wider heads.  The low-bias profile once caught a
+   real bug (seed 79): a divergent set whose pumping cycle passes
+   through the same product state twice, which a simple-cycle lasso
+   search cannot traverse. *)
+let thm2_profiles =
+  let d = Random_tgds.default_profile in
+  [
+    ("default", d);
+    ("5 rules, arity<=4", { d with n_rules = 5; max_arity = 4 });
+    ("high existential bias", { d with existential_bias = 0.7 });
+    ("low existential bias", { d with existential_bias = 0.15 });
+    ("4 preds, 3 heads", { d with n_preds = 4; max_head = 3 });
+  ]
+
 let thm2_semi_oblivious =
-  qcheck ~count:150 "Thm 2 (so): critical-WA = CT^so on random linear sets"
-    (QCheck.make QCheck.Gen.small_nat) (fun seed ->
-      let rules = Random_tgds.linear ~seed () in
+  qcheck ~count:250 "Thm 2 (so): critical-WA = CT^so on random linear sets"
+    (QCheck.make
+       ~print:(fun ((name, _), seed) -> Fmt.str "%s, seed %d" name seed)
+       QCheck.Gen.(pair (oneofl thm2_profiles) small_nat))
+    (fun ((_, profile), seed) ->
+      let rules = Random_tgds.linear ~seed ~profile () in
       Verdict.is_terminating
         (Linear.check ~standard:false ~variant:Variant.Semi_oblivious rules)
       = oracle Variant.Semi_oblivious rules)
@@ -109,6 +129,58 @@ let thm4_agreement =
       | Verdict.Diverges -> not oracle_terminates
       | Verdict.Unknown -> not oracle_terminates (* budget cases must at least not be terminating *))
 
+(* ---------------- Theorems 3 and 4: cost shapes as counts ---------------- *)
+
+(* Bell(k): the number of partitions of k positions *)
+let bell = [| 1; 1; 2; 5; 15; 52; 203 |]
+
+let shapes () =
+  (* Thm 3(1): the SL check is reachability over positions, which grow
+     linearly with the rule set *)
+  List.iter
+    (fun (n, positions) ->
+      Alcotest.(check int)
+        (Fmt.str "sl_chain %d positions" n)
+        positions
+        (Schema.position_count (Schema.of_rules (Families.sl_chain n))))
+    [ (16, 34); (64, 130); (256, 514); (1024, 2050) ];
+  (* Thm 3(2): the linear procedure explores patterns, whose number is
+     governed by arity and bounded by Bell(k)·2^k *)
+  let patterns arity =
+    let rules = Families.linear_rotating ~arity in
+    Pattern.Set.cardinal
+      (Critical_linear.reachable_patterns
+         ~constants:(Critical.constants_for ~standard:false rules)
+         rules)
+  in
+  let counts = List.map patterns [ 2; 3; 4; 5; 6 ] in
+  Alcotest.(check (list int)) "rotating pattern counts" [ 3; 4; 5; 6; 7 ] counts;
+  Alcotest.(check bool) "pattern count does not fall as arity grows" true
+    (counts = List.sort compare counts);
+  List.iteri
+    (fun i n ->
+      let k = i + 2 in
+      Alcotest.(check bool)
+        (Fmt.str "arity %d: %d patterns within Bell(k)·2^k" k n)
+        true
+        (n <= bell.(k) * (1 lsl k)))
+    counts;
+  (* Thm 4: the terminating guarded family's critical chase grows with
+     arity *)
+  List.iter
+    (fun (arity, triggers, facts) ->
+      let rules = Families.guarded_terminating ~arity in
+      let r =
+        chase ~variant:Variant.Semi_oblivious ~budget:3_000 rules
+          (Instance.to_list (Critical.of_rules ~standard:true rules))
+      in
+      Alcotest.(check (pair int int))
+        (Fmt.str "guarded_terminating %d: critical chase triggers, facts" arity)
+        (triggers, facts)
+        (r.Engine.triggers_applied, Instance.cardinal r.Engine.instance);
+      Alcotest.(check bool) "closed" false (exhausted r))
+    [ (1, 5, 18); (2, 6, 33); (3, 12, 81); (4, 30, 225) ]
+
 (* ---------------- the Decide dispatcher ---------------- *)
 
 let decide_catalogue () =
@@ -147,4 +219,5 @@ let suite =
     thm4_agreement;
     Alcotest.test_case "Decide on the catalogue" `Quick decide_catalogue;
     Alcotest.test_case "Decide picks the right procedure" `Quick decide_uses_fast_path;
+    Alcotest.test_case "Thm 3/4 shapes: counts grow with size and arity" `Quick shapes;
   ]
