@@ -6,7 +6,8 @@
 # naive reference matcher is compared with the planned one by the
 # differential tests inside `make test`, not by a rerun of the suite.
 
-.PHONY: all build test smoke obs-smoke soak soak-failover lint fmt fmt-ml check clean
+.PHONY: all build test smoke obs-smoke soak soak-failover lint fmt fmt-ml check clean \
+  bench-compare
 
 all: build
 
@@ -83,6 +84,17 @@ fmt:
 
 fmt-ml:
 	ocamlformat --check $$(git ls-files '*.ml' '*.mli')
+
+# benchmark compare of a revision against the working tree: BASE is
+# checked out into a git worktree under _build/bench-compare/ and built
+# there; one traced run per side must show the same work counts, then
+# ten alternating untraced pairs at BENCHMARK.json's run length give each
+# side's median and quartiles per end-to-end metric, judged against the
+# metric's bound (see tools/bench_compare.py).
+BASE ?= HEAD
+WORKLOAD ?= chase-closure
+bench-compare:
+	python3 tools/bench_compare.py --base $(BASE) --workload $(WORKLOAD)
 
 check: build fmt lint test obs-smoke
 

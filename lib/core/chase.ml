@@ -3,7 +3,7 @@
     One-stop re-export of the public API.  The sub-libraries group as:
 
     - logic substrate: {!Term}, {!Atom}, {!Subst}, {!Instance}, {!Hom},
-      {!Plan}, {!Tgd}, {!Schema}, {!Pattern}, {!Parser};
+      {!Plan}, {!Template}, {!Tgd}, {!Schema}, {!Pattern}, {!Parser};
     - chase engine: {!Variant}, {!Engine}, {!Trigger},
       {!Limits}, {!Watchdog}, {!Faults}, {!Critical}, {!Derivation};
     - observability: {!Obs}, {!Metrics}, {!Sink}, {!Jsonv}, {!Profile},
@@ -41,6 +41,7 @@ module Subst = Chase_logic.Subst
 module Instance = Chase_logic.Instance
 module Hom = Chase_logic.Hom
 module Plan = Chase_logic.Plan
+module Template = Chase_logic.Template
 module Tgd = Chase_logic.Tgd
 module Schema = Chase_logic.Schema
 module Pattern = Chase_logic.Pattern

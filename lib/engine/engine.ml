@@ -59,12 +59,10 @@ let exhausted r = match r.status with Exhausted _ -> true | Terminated -> false
 let exhaustion r =
   match r.status with Exhausted e -> Some e | Terminated -> None
 
-let depth_in provenance a =
-  match Atom.Tbl.find_opt provenance a with
+let depth_of result a =
+  match Atom.Tbl.find_opt result.provenance a with
   | Some d -> Derivation.depth d
   | None -> 0
-
-let depth_of result a = depth_in result.provenance a
 
 (** [run ?config ?on_trigger ?watchdog rules db] chases the facts
     [db] with [rules].
@@ -117,7 +115,14 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
   let instance = Instance.create () in
   List.iter (fun a -> ignore (Instance.add instance a)) db;
   let provenance = Atom.Tbl.create 1024 in
-  let seen = Trigger.Tbl.create 1024 in
+  (* The dedup keys.  A seeded search finds each homomorphism that uses
+     its seed once, and only once every fact of its image is present, so
+     under o and r a homomorphism can be found again only through another
+     fact added by the same application: [seen] then holds one
+     application's triggers and is reset after it.  The semi-oblivious
+     key forgets the non-frontier slots, so there [seen] spans the run. *)
+  let run_wide = config.variant = Variant.Semi_oblivious in
+  let seen = Trigger.Tbl.create (if run_wide then 1024 else 16) in
   let queue = Queue.create () in
   let monitor = Limits.Monitor.start config.limits in
   let firings = Array.make (Array.length rules) 0 in
@@ -145,42 +150,57 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
   let prof_match = Array.make prof_n 0. in
   let prof_probes = Array.make prof_n 0 in
   let prof_nulls = Array.make prof_n 0 in
-  let enqueue tr =
+  (* Depth of every fact, by fact id: written once, when the fact is
+     added, so a trigger reads its parents' depths when it is found. *)
+  let depths = ref (Array.make (max 1024 (Instance.cardinal instance)) 0) in
+  let set_depth id d =
+    if id >= Array.length !depths then begin
+      let a = Array.make (2 * id) 0 in
+      Array.blit !depths 0 a 0 (Array.length !depths);
+      depths := a
+    end;
+    !depths.(id) <- d
+  in
+  let enqueue_new tr =
     let key = Trigger.key config.variant compiled.(tr.Trigger.rule) tr in
     if not (Trigger.Tbl.mem seen key) then begin
       Trigger.Tbl.add seen key ();
       Queue.add tr queue
     end
   in
-  (* Trigger discovery is canonicalised: the homomorphisms found for one
+  let enqueue tr = if run_wide then enqueue_new tr else Queue.add tr queue in
+  (* Trigger discovery is canonicalised: the triggers found for one
      (rule, discovery event) are sorted before entering the FIFO, so the
      worklist order — and with it the whole chase sequence, null stamps
-     included — depends only on the substitution *set* the matcher
-     produces, never on its enumeration order.  Planned and naive runs
-     are therefore step-for-step identical, which the differential test
+     included — depends only on the binding *set* the matcher produces,
+     never on its enumeration order.  Planned and naive runs are
+     therefore step-for-step identical, which the differential test
      suite asserts.  Slot-array order is [Subst.compare] order. *)
-  let enqueue_found i subs =
-    List.iter enqueue
-      (List.sort Trigger.compare (List.map (Trigger.of_subst compiled.(i)) subs))
+  let discover ?seed i =
+    let c = compiled.(i) in
+    let slots = Array.make c.n_body Hom.unbound in
+    let acc = ref [] in
+    Hom.iter_slots ?seed instance c.body ~slots (fun ids ->
+        let d = ref 0 in
+        for k = 0 to Array.length ids - 1 do
+          d := max !d !depths.(ids.(k))
+        done;
+        acc := Trigger.make c (Array.copy slots) ~depth:(1 + !d) :: !acc);
+    let found = Array.of_list !acc in
+    Array.sort Trigger.compare found;
+    found
   in
   let discover_all_for_rule i =
     let t0 = if tracked then Obs.now obs else 0. in
     let c0 = if tracked then Hom.Stats.candidates_now () else 0 in
-    let acc = ref [] in
-    Hom.iter instance (Tgd.body rules.(i)) (fun sub -> acc := sub :: !acc);
+    let found = discover i in
     if tracked then begin
       let dt = Obs.now obs -. t0 in
       prof_match.(i) <- prof_match.(i) +. dt;
       prof_time.(i) <- prof_time.(i) +. dt;
       prof_probes.(i) <- prof_probes.(i) + (Hom.Stats.candidates_now () - c0)
     end;
-    !acc
-  in
-  let enqueue_seeded_for_rule i seed =
-    let acc = ref [] in
-    Hom.iter_seeded instance (Tgd.body rules.(i)) ~seed (fun sub ->
-        acc := sub :: !acc);
-    enqueue_found i !acc
+    found
   in
   if tracked then
     Obs.span_begin obs "chase"
@@ -192,8 +212,11 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
         ];
   Obs.span_begin obs "seed";
   let found = Array.init (Array.length rules) discover_all_for_rule in
-  Array.iteri enqueue_found found;
+  Array.iter (Array.iter enqueue) found;
   Obs.span_end obs "seed";
+  (* Parents and the substitution are built only for a trigger that adds
+     a fact, or for [on_trigger]: most triggers of a closure re-derive a
+     known fact and allocate no more than the head atom they look up. *)
   let apply tr =
     let t_start = if tracked then Obs.now obs else 0. in
     let c_start = if tracked then Hom.Stats.candidates_now () else 0 in
@@ -206,40 +229,51 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
         ~args:[ ("step", Chase_obs.Jsonv.Int !triggers_applied) ]
         (rule_display i);
     let vals, created = Trigger.extend c tr ~fresh:fresh_null in
-    let parents = List.map (Trigger.instantiate vals) c.body in
-    let guard_parent = Option.map (List.nth parents) c.guard in
-    let depth = 1 + List.fold_left (fun d a -> max d (depth_in provenance a)) 0 parents in
+    let depth = tr.Trigger.depth in
     if depth > !max_depth then max_depth := depth;
-    let hom = lazy (Trigger.to_subst c tr) in
-    let new_atoms = ref [] in
-    List.iter
-      (fun head_atom ->
-        let fact = Trigger.instantiate vals head_atom in
-        if Instance.add instance fact then begin
-          incr atoms_created;
-          new_atoms := fact :: !new_atoms;
+    let added = ref [] in
+    for k = 0 to Array.length c.head - 1 do
+      let fact = Template.instantiate vals c.head.(k) in
+      if Instance.add instance fact then begin
+        incr atoms_created;
+        set_depth (Instance.cardinal instance - 1) depth;
+        added := fact :: !added
+      end
+    done;
+    let added = List.rev !added in
+    let hom =
+      if added = [] && on_trigger = None then Subst.empty else Trigger.to_subst c tr
+    in
+    if added <> [] then begin
+      let parents = Array.to_list (Array.map (Template.instantiate vals) c.body) in
+      let guard_parent = Option.map (List.nth parents) c.guard in
+      List.iter
+        (fun fact ->
           Atom.Tbl.replace provenance fact
             {
               Derivation.rule = c.tgd;
-              hom = Lazy.force hom;
+              hom;
               parents;
               guard_parent;
               depth;
               step = !triggers_applied;
               created_nulls = created;
-            }
-        end)
-      c.head;
-    let added = List.rev !new_atoms in
+            })
+        added
+    end;
     (* Semi-naive trigger discovery: only homomorphisms using a new fact
        can be new.  Its cost is attributed to the rule whose output
        seeded it. *)
     let m0 = if tracked then Obs.now obs else 0. in
     Obs.span_begin obs "match";
+    let enq =
+      if List.compare_length_with added 1 > 0 then enqueue_new else enqueue
+    in
     List.iter
       (fun fact ->
-        List.iter (fun i -> enqueue_seeded_for_rule i fact) (sweep fact))
+        List.iter (fun i -> Array.iter enq (discover ~seed:fact i)) (sweep fact))
       added;
+    if (not run_wide) && added <> [] then Trigger.Tbl.reset seen;
     Obs.span_end obs "match";
     if tracked then
       prof_match.(i) <- prof_match.(i) +. (Obs.now obs -. m0);
@@ -274,7 +308,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
     match on_trigger with
     | Some f ->
       f ~step:!triggers_applied ~rule_index:i ~depth ~created_nulls:created
-        c.tgd (Lazy.force hom) added
+        c.tgd hom added
     | None -> ()
   in
   let firing_table () =
@@ -303,8 +337,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
         (match config.variant with
         | Variant.Restricted
           when let c = compiled.(tr.Trigger.rule) in
-               Hom.exists ~init:(Trigger.frontier_subst c tr) instance
-                 (Tgd.head c.tgd) ->
+               Hom.exists_slots instance c.head ~slots:(Trigger.frontier_slots c tr) ->
           incr triggers_skipped
         | Variant.Restricted | Variant.Oblivious | Variant.Semi_oblivious ->
           apply tr);

@@ -1,16 +1,13 @@
 open Chase_logic
 
-type arg = Fixed of Term.t | Slot of int
-type template = { pred : string; args : arg array }
-
 type rule = {
   index : int;
   tgd : Tgd.t;
   vars : string array;
   n_body : int;
   frontier : int array;
-  body : template list;
-  head : template list;
+  body : Template.t array;
+  head : Template.t array;
   guard : int option;
 }
 
@@ -21,10 +18,7 @@ let compile index tgd =
     let rec go i = if String.equal vars.(i) v then i else go (i + 1) in
     go 0
   in
-  let template a =
-    let arg = function Term.Var v -> Slot (slot v) | t -> Fixed t in
-    { pred = Atom.pred a; args = Array.map arg (Atom.args a) }
-  in
+  let templates l = Array.of_list (List.map (Template.compile vars) l) in
   let body = Tgd.body tgd in
   {
     index;
@@ -32,26 +26,24 @@ let compile index tgd =
     vars;
     n_body = Util.Sset.cardinal (Tgd.body_vars tgd);
     frontier = Array.of_list (List.map slot (elements Tgd.frontier));
-    body = List.map template body;
-    head = List.map template (Tgd.head tgd);
+    body = templates body;
+    head = templates (Tgd.head tgd);
     guard =
       Option.bind (Chase_classes.Classify.guard_of tgd) (fun g ->
           List.find_index (( == ) g) body);
   }
 
-type t = { rule : int; vals : Term.t array; hash : int }
+type t = { rule : int; vals : Term.t array; hash : int; depth : int }
 
-let make rule vals = { rule; vals; hash = Util.hash_fold_array Term.hash rule vals }
+let hashed rule vals depth =
+  { rule; vals; hash = Util.hash_fold_array Term.hash rule vals; depth }
 
-let of_subst c sub =
-  if Subst.cardinal sub <> c.n_body then invalid_arg "Trigger.of_subst";
-  make c.index
-    (Array.init c.n_body (fun i -> Option.get (Subst.find_opt c.vars.(i) sub)))
+let make c vals ~depth = hashed c.index vals depth
 
 let key (variant : Variant.t) c tr =
   match variant with
   | Oblivious | Restricted -> tr
-  | Semi_oblivious -> make tr.rule (Array.map (Array.get tr.vals) c.frontier)
+  | Semi_oblivious -> hashed tr.rule (Array.map (Array.get tr.vals) c.frontier) 0
 
 let compare t1 t2 = Util.array_compare Term.compare t1.vals t2.vals
 let equal t1 t2 = t1.rule = t2.rule && Util.array_for_all2 Term.equal t1.vals t2.vals
@@ -75,5 +67,7 @@ let extend c tr ~fresh =
     let nulls = List.map (fun id -> Term.Null id) created in
     (Array.append tr.vals (Array.of_list nulls), created)
 
-let instantiate vals t =
-  Atom.make t.pred (Array.map (function Fixed t -> t | Slot i -> vals.(i)) t.args)
+let frontier_slots c tr =
+  let slots = Array.make (Array.length c.vars) Chase_logic.Hom.unbound in
+  Array.iter (fun s -> slots.(s) <- tr.vals.(s)) c.frontier;
+  slots

@@ -119,9 +119,11 @@ let mfa_incomplete_witness =
 (* ------------------------------------------------------------------ *)
 
 (** [guarded_divergent ~arity]: r(X1,…,Xk), m(Xk) → ∃Z r(X2,…,Xk,Z), m(Z).
-    Properly guarded (two body atoms), diverges under o and so. *)
+    Properly guarded (two body atoms), diverges under o and so.  At arity
+    1 the frontier is empty, so the semi-oblivious chase fires once and
+    stops: arity 1 is refused. *)
 let guarded_divergent ~arity =
-  if arity < 1 then invalid_arg "guarded_divergent: arity must be ≥ 1";
+  if arity < 2 then invalid_arg "guarded_divergent: arity must be ≥ 2";
   let xs = List.init arity (fun i -> v (Fmt.str "X%d" i)) in
   let last = List.nth xs (arity - 1) in
   let rotated = List.tl xs @ [ v "Z" ] in

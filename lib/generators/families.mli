@@ -37,7 +37,10 @@ val mfa_incomplete_witness : Tgd.t list
     — MFA builds a cyclic skolem term that the chase can never reuse. *)
 
 val guarded_divergent : arity:int -> Tgd.t list
-(** r(X̄), m(Xk) → ∃Z r(X₂..Xk,Z) ∧ m(Z): properly guarded, divergent. *)
+(** r(X̄), m(Xk) → ∃Z r(X₂..Xk,Z) ∧ m(Z): properly guarded, divergent
+    under o and so.
+    @raise Invalid_argument if [arity < 2]: at arity 1 the frontier is
+    empty and the semi-oblivious chase stops after one trigger. *)
 
 val guarded_terminating : arity:int -> Tgd.t list
 val guarded_tower : levels:int -> Tgd.t list

@@ -1,20 +1,26 @@
 (** Homomorphism search: matching conjunctions of atoms into instances.
 
-    Two matchers share the same backtracking core:
+    One backtracking core ({!search}) binds compiled body atoms
+    ({!Template.t}) into a [Term.t] slot array in place, undoing through a
+    trail, and records the id of the fact each body atom matched.  Two
+    policies drive it:
 
-    - the {b naive} matcher processes body atoms left to right, probing
-      the (predicate, position, term) index at the {e first} determined
-      position — the reference implementation, kept verbatim as the
-      normative semantics (DESIGN.md);
-    - the {b planned} matcher asks {!Plan} for a selectivity-ordered
+    - the {b naive} policy binds body atoms left to right, probing the
+      (predicate, position, term) index at the {e first} determined
+      position — the reference, the normative semantics (DESIGN.md);
+    - the {b planned} policy asks {!Plan} for a selectivity-ordered
       permutation of the body and probes the {e smallest} index at each
       step, using the O(1) cardinality statistics of {!Instance}.
 
-    Both enumerate the same substitution set (the property suite pins
-    this); only the enumeration order and the work done differ.  The
-    top-level entry points ({!iter}, {!iter_seeded}, {!all}, {!exists},
-    {!find}) dispatch on the process-wide {!matcher} selection: planned
-    unless {!set_matcher} selected the naive reference. *)
+    Both enumerate the same binding set (the property suite pins this);
+    only the enumeration order and the work done differ.  The chase
+    engine takes slot arrays and fact ids straight from {!iter_slots};
+    every substitution entry point is a wrapper that compiles its atoms,
+    binds [?init] into the slots and builds a substitution per emitted
+    binding.  The dispatching entry points ({!iter_slots}, {!iter},
+    {!iter_seeded}, {!all}, {!exists}, {!find}) follow the process-wide
+    {!matcher} selection: planned unless {!set_matcher} selected the
+    naive reference. *)
 
 (** [match_atom sub pat fact] extends [sub] so that [sub pat = fact];
     [None] if impossible. *)
@@ -111,225 +117,250 @@ let set_matcher m = selected := m
 let matcher () = !selected
 
 (* ------------------------------------------------------------------ *)
-(* The naive reference matcher (left-to-right, first bound position)   *)
+(* The backtracking core                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** Candidate facts for [pat] under partial substitution [sub], probing
-    the index at the first determined position — the reference policy. *)
-let candidates ins sub pat =
-  let n = Atom.arity pat in
-  let rec find_bound i =
-    if i >= n then None
-    else
-      match Atom.arg pat i with
-      | Term.Var v -> (
-        match Subst.find_opt v sub with
-        | Some t -> Some (i, t)
-        | None -> find_bound (i + 1))
-      | (Term.Const _ | Term.Null _) as t -> Some (i, t)
-  in
-  match find_bound 0 with
-  | Some (i, t) ->
-    incr Stats.probes;
-    Instance.atoms_matching ins (Atom.pred pat) i t
-  | None ->
-    incr Stats.full_scans;
-    Instance.atoms_of_pred ins (Atom.pred pat)
+(* The value of a slot no search has bound.  A fact never holds a
+   variable, so no bound value is this one; tests are physical. *)
+let unbound = Term.Var "?"
 
-exception Stop
+(* One search: the compiled body, the slots it binds in place, the fact
+   id matched by each body atom, and the trail of slots bound since the
+   search started, so a failed or finished branch unbinds exactly its
+   own. *)
+type state = {
+  ins : Instance.t;
+  body : Template.t array;
+  slots : Term.t array;
+  ids : int array;
+  trail : int array;
+  mutable top : int;
+}
 
-(** [iter_naive ?init ins pats f] calls [f] on every substitution [s]
-    extending [init] with [s pats ⊆ ins]; body atoms left to right. *)
-let iter_naive ?(init = Subst.empty) ins pats f =
-  let rec go pats sub =
-    match pats with
-    | [] -> f sub
-    | pat :: rest ->
-      List.iter
-        (fun fact ->
-          incr Stats.candidates;
-          match match_atom sub pat fact with
-          | Some sub' -> go rest sub'
-          | None -> ())
-        (candidates ins sub pat)
-  in
-  go pats init
-
-(** [iter_seeded_naive ?init ins pats ~seed f] is like {!iter_naive} but
-    only yields substitutions in which at least one body atom is mapped to
-    the fact [seed].  This is the semi-naive primitive of the chase
-    engine: when a new fact arrives, only homomorphisms using it can be
-    new. *)
-let iter_seeded_naive ?(init = Subst.empty) ins pats ~seed f =
-  let n = List.length pats in
-  (* For each choice of the atom pinned to [seed], enumerate the rest, and
-     require pinned-position minimality to avoid emitting the same
-     substitution once per body atom it maps onto [seed]: the pinned atom
-     must be the first body atom mapped to [seed]. *)
-  let pats_arr = Array.of_list pats in
-  for pin = 0 to n - 1 do
-    match match_atom init pats_arr.(pin) seed with
-    | None -> ()
-    | Some sub0 ->
-      let rec go i sub =
-        if i >= n then f sub
-        else if i = pin then go (i + 1) sub
-        else
-          List.iter
-            (fun fact ->
-              incr Stats.candidates;
-              if i < pin && Atom.equal fact seed then ()
-                (* an earlier atom matching [seed] is handled by a smaller
-                   [pin]; skip to avoid duplicates *)
-              else
-                match match_atom sub pats_arr.(i) fact with
-                | Some sub' -> go (i + 1) sub'
-                | None -> ())
-            (candidates ins sub pats_arr.(i))
-      in
-      go 0 sub0
+let undo st mark =
+  while st.top > mark do
+    st.top <- st.top - 1;
+    st.slots.(st.trail.(st.top)) <- unbound
   done
 
-(* ------------------------------------------------------------------ *)
-(* The planned matcher (selectivity order, smallest index per step)    *)
-(* ------------------------------------------------------------------ *)
+(* Extend the slots so that [tp] maps onto a fact with arguments [args],
+   from position [j] on.  On [false] some slots may be bound: the caller
+   undoes to its mark. *)
+let rec bind_from st (tp : Template.t) args j =
+  j >= Array.length args
+  || (match tp.args.(j) with
+     | Template.Fixed t -> Term.equal t args.(j)
+     | Template.Slot s ->
+       let v = st.slots.(s) in
+       if v == unbound then begin
+         st.slots.(s) <- args.(j);
+         st.trail.(st.top) <- s;
+         st.top <- st.top + 1;
+         true
+       end
+       else v == args.(j) || Term.equal v args.(j))
+     && bind_from st tp args (j + 1)
 
-(** Candidate facts for [pat] under [sub], probing the {e smallest} index
-    over all determined positions (O(arity) count lookups, no walks). *)
-let candidates_best ins sub pat =
-  let p = Atom.pred pat in
-  let n = Atom.arity pat in
-  let best = ref None in
-  (* bucket size at the first determined position: what the naive
-     probe policy would have walked — kept for the probe accounting *)
-  let first = ref (-1) in
-  for i = 0 to n - 1 do
-    let t =
-      match Atom.arg pat i with
-      | Term.Var v -> Subst.find_opt v sub
-      | (Term.Const _ | Term.Null _) as t -> Some t
-    in
-    match t with
-    | Some t ->
-      let c = Instance.count_matching ins p i t in
-      if !first < 0 then first := c;
-      (match !best with
-      | Some (c0, _, _) when c0 <= c -> ()
-      | Some _ | None -> best := Some (c, i, t))
-    | None -> ()
-  done;
-  match !best with
-  | Some (c, i, t) ->
-    incr Stats.probes;
-    Stats.bump_by Stats.planned_probe_cost c;
-    Stats.bump_by Stats.naive_probe_cost (if !first >= 0 then !first else c);
-    Instance.atoms_matching ins p i t
-  | None ->
-    incr Stats.full_scans;
-    Instance.atoms_of_pred ins p
+let bind st (tp : Template.t) args =
+  Array.length tp.args = Array.length args && bind_from st tp args 0
+
+let determined st = function
+  | Template.Fixed t -> t
+  | Template.Slot s -> st.slots.(s)
+
+(** The reference probe: the index at the first determined position. *)
+let probe_first st (tp : Template.t) =
+  let n = Array.length tp.args in
+  let rec find i =
+    if i >= n then begin
+      incr Stats.full_scans;
+      Instance.pred_bucket st.ins tp.pred
+    end
+    else
+      let t = determined st tp.args.(i) in
+      if t == unbound then find (i + 1)
+      else begin
+        incr Stats.probes;
+        Instance.matching_bucket st.ins tp.pred i t
+      end
+  in
+  find 0
+
+(** The planned probe: the {e smallest} index over all determined
+    positions (O(arity) size lookups, no walks).  The bucket size at the
+    first determined position is what the naive policy would have
+    walked; it is kept for the probe accounting. *)
+let probe_best st (tp : Template.t) =
+  let n = Array.length tp.args in
+  let bucket i t = Instance.matching_bucket st.ins tp.pred i t in
+  let rec scan i first best c_best =
+    if i >= n then begin
+      incr Stats.probes;
+      Stats.bump_by Stats.planned_probe_cost c_best;
+      Stats.bump_by Stats.naive_probe_cost first;
+      best
+    end
+    else
+      let t = determined st tp.args.(i) in
+      if t == unbound then scan (i + 1) first best c_best
+      else
+        let b = bucket i t in
+        let c = Instance.bucket_size b in
+        if c < c_best then scan (i + 1) first b c else scan (i + 1) first best c_best
+  in
+  let rec start i =
+    if i >= n then begin
+      incr Stats.full_scans;
+      Instance.pred_bucket st.ins tp.pred
+    end
+    else
+      let t = determined st tp.args.(i) in
+      if t == unbound then start (i + 1)
+      else
+        let b = bucket i t in
+        let c = Instance.bucket_size b in
+        scan (i + 1) c b c
+  in
+  start 0
 
 (* Below this instance size, planning and count probes cost more than the
-   bucket walks they avoid: the planned matcher falls back to the naive
-   algorithm (the substitution set is the same either way). *)
+   bucket walks they avoid: the planned policy falls back to the naive
+   one (the substitution set is the same either way). *)
 let plan_threshold = 64
 
-(* Backtracking through [pats_arr] in the order given by [plan], starting
-   at plan step [from].  [skip_seed pos fact] implements the pinned-
-   position minimality filter of the seeded search (always false for the
-   unseeded one). *)
-let run_plan ~skip_seed pats_arr plan ~from ins sub0 f =
-  let order = Plan.order plan in
+(** [search st ~probe order ~from ~skip emit] binds the body atoms
+    [order.(from)], [order.(from+1)], … in turn, each against the facts
+    of the bucket [probe] picks for it, newest first, and calls [emit]
+    with every complete binding in place.  [skip pos id] drops fact [id]
+    as a candidate for body atom [pos] (the seeded search's minimality
+    filter). *)
+let search st ~probe order ~from ~skip emit =
   let steps = Array.length order in
-  let rec go k sub =
-    if k >= steps then f sub
-    else
+  let rec go k =
+    if k >= steps then emit ()
+    else begin
       let pos = order.(k) in
-      List.iter
-        (fun fact ->
-          incr Stats.candidates;
-          if skip_seed pos fact then ()
-          else
-            match match_atom sub pats_arr.(pos) fact with
-            | Some sub' -> go (k + 1) sub'
-            | None -> ())
-        (candidates_best ins sub pats_arr.(pos))
+      let tp = st.body.(pos) in
+      let b = probe st tp in
+      for j = Instance.bucket_size b - 1 downto 0 do
+        let id = Instance.bucket_id b j in
+        incr Stats.candidates;
+        if not (skip pos id) then begin
+          let mark = st.top in
+          if bind st tp (Atom.args (Instance.fact st.ins id)) then begin
+            st.ids.(pos) <- id;
+            go (k + 1)
+          end;
+          undo st mark
+        end
+      done
+    end
   in
-  go from sub0
+  go from
 
 let no_skip _ _ = false
 
-(** [iter_planned ?init ?plan ins pats f]: same substitution set as
-    {!iter_naive}, enumerated through a selectivity-ordered plan
-    (computed here unless supplied). *)
-let iter_planned ?(init = Subst.empty) ?plan ins pats f =
-  match pats with
-  | [] -> f init
-  | _ when plan = None && Instance.cardinal ins < plan_threshold ->
-    iter_naive ~init ins pats f
-  | [ pat ] ->
-    (* single atom: nothing to order, but still probe the best index *)
-    List.iter
-      (fun fact ->
-        incr Stats.candidates;
-        match match_atom init pat fact with Some s -> f s | None -> ())
-      (candidates_best ins init pat)
-  | _ ->
-    let plan =
-      match plan with
-      | Some p -> p
-      | None -> Plan.make ~bound:(Subst.domain init) ins pats
+let bound_slots st = Array.map (fun v -> v != unbound) st.slots
+
+(* Every binding of the whole body.  The naive policy goes left to
+   right; the planned one follows [plan] (or plans here), except on
+   small instances and one-atom bodies, where there is nothing to gain. *)
+let run_all policy ?plan st emit =
+  let n = Array.length st.body in
+  match policy with
+  | Planned when n = 0 -> emit ()
+  | Planned when plan <> None || Instance.cardinal st.ins >= plan_threshold ->
+    let order =
+      if n = 1 then [| 0 |]
+      else
+        match plan with
+        | Some p -> Plan.order p
+        | None -> Plan.order (Plan.of_templates ~bound:(bound_slots st) st.ins st.body)
     in
-    run_plan ~skip_seed:no_skip (Array.of_list pats) plan ~from:0 ins init f
+    search st ~probe:probe_best order ~from:0 ~skip:no_skip emit
+  | Planned | Naive ->
+    search st ~probe:probe_first (Array.init n Fun.id) ~from:0 ~skip:no_skip emit
 
-(** [iter_seeded_planned ?init ins pats ~seed f]: the delta-driven
-    rederivation primitive, planned.  For each body atom that matches the
-    seed, that atom is pinned first (one candidate: the seed itself) and
-    the rest of the body is planned with the pin's variables bound. *)
-let iter_seeded_planned ?(init = Subst.empty) ins pats ~seed f =
-  if Instance.cardinal ins < plan_threshold then
-    iter_seeded_naive ~init ins pats ~seed f
-  else begin
-  let pats_arr = Array.of_list pats in
-  let n = Array.length pats_arr in
-  let bound0 = Subst.domain init in
+(* Every binding that maps at least one body atom onto [seed], each once:
+   for each body atom [pin] that matches the seed, the pin is bound to it
+   first and the rest of the body is searched, where a body atom left of
+   the pin may not map onto the seed (a smaller pin produced that
+   binding). *)
+let run_seeded policy st ~seed emit =
+  let seed_id = Instance.id_of st.ins seed in
+  let n = Array.length st.body in
+  let planned = policy = Planned && Instance.cardinal st.ins >= plan_threshold in
   for pin = 0 to n - 1 do
-    match match_atom init pats_arr.(pin) seed with
-    | None -> ()
-    | Some sub0 ->
-      (* pinned-position minimality, as in the naive seeded search: a
-         body atom left of the pin must not map onto the seed *)
-      let skip_seed pos fact = pos < pin && Atom.equal fact seed in
-      let plan = Plan.seeded ~bound:bound0 ins pats ~pin in
-      run_plan ~skip_seed pats_arr plan ~from:1 ins sub0 f
+    let tp = st.body.(pin) in
+    let mark = st.top in
+    if String.equal tp.pred (Atom.pred seed) && bind st tp (Atom.args seed) then begin
+      st.ids.(pin) <- seed_id;
+      let skip pos id = pos < pin && id = seed_id in
+      if planned then
+        let plan = Plan.of_templates ~bound:(bound_slots st) ~pin st.ins st.body in
+        search st ~probe:probe_best (Plan.order plan) ~from:1 ~skip emit
+      else
+        let order = Array.init n (fun k -> if k = 0 then pin else if k <= pin then k - 1 else k) in
+        search st ~probe:probe_first order ~from:1 ~skip emit
+    end;
+    undo st mark
   done
-  end
+
+let start ins body slots =
+  let ids = Array.make (Array.length body) (-1) in
+  { ins; body; slots; ids; trail = Array.make (Array.length slots) 0; top = 0 }
+
+let iter_slots ?seed ins body ~slots emit =
+  let st = start ins body slots in
+  let emit () =
+    incr Stats.matches;
+    emit st.ids
+  in
+  match seed with
+  | None -> run_all !selected st emit
+  | Some seed -> run_seeded !selected st ~seed emit
 
 (* ------------------------------------------------------------------ *)
-(* Dispatching entry points                                            *)
+(* Substitution entry points                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* Run [core] over [pats] compiled on their variables in name order, with
+   [init] bound into the slots; each binding it emits reaches [f] as the
+   substitution extending [init]. *)
+let via_subst core ?(init = Subst.empty) ins pats f =
+  let vars, body = Template.compile_all pats in
+  let slots =
+    Array.map (fun v -> Option.value (Subst.find_opt v init) ~default:unbound) vars
+  in
+  let free = List.filter (fun i -> slots.(i) == unbound) (List.init (Array.length vars) Fun.id) in
+  core (start ins body slots) (fun () ->
+      f (List.fold_left (fun s i -> Subst.bind_exn s vars.(i) slots.(i)) init free))
+
+let iter_naive ?init ins = via_subst (run_all Naive) ?init ins
+let iter_planned ?init ?plan ins = via_subst (run_all Planned ?plan) ?init ins
+let iter_seeded_naive ?init ins pats ~seed = via_subst (run_seeded Naive ~seed) ?init ins pats
+let iter_seeded_planned ?init ins pats ~seed = via_subst (run_seeded Planned ~seed) ?init ins pats
+
+let counted f s =
+  incr Stats.matches;
+  f s
 
 (** [iter ?init ins pats f] calls [f] on every substitution [s] extending
     [init] with [s pats ⊆ ins], through the selected matcher. *)
 let iter ?init ins pats f =
-  let f s =
-    incr Stats.matches;
-    f s
-  in
   match matcher () with
-  | Planned -> iter_planned ?init ins pats f
-  | Naive -> iter_naive ?init ins pats f
+  | Planned -> iter_planned ?init ins pats (counted f)
+  | Naive -> iter_naive ?init ins pats (counted f)
 
 (** [iter_seeded ?init ins pats ~seed f] is like [iter] but only yields
     substitutions in which at least one body atom is mapped to the fact
     [seed].  Each qualifying substitution is produced exactly once. *)
 let iter_seeded ?init ins pats ~seed f =
-  let f s =
-    incr Stats.matches;
-    f s
-  in
   match matcher () with
-  | Planned -> iter_seeded_planned ?init ins pats ~seed f
-  | Naive -> iter_seeded_naive ?init ins pats ~seed f
+  | Planned -> iter_seeded_planned ?init ins pats ~seed (counted f)
+  | Naive -> iter_seeded_naive ?init ins pats ~seed (counted f)
+
+exception Stop
 
 let all ?init ins pats =
   let acc = ref [] in
@@ -339,6 +370,12 @@ let all ?init ins pats =
 let exists ?init ins pats =
   try
     iter ?init ins pats (fun _ -> raise Stop);
+    false
+  with Stop -> true
+
+let exists_slots ins body ~slots =
+  try
+    iter_slots ins body ~slots (fun _ -> raise Stop);
     false
   with Stop -> true
 

@@ -1,12 +1,17 @@
 (** Homomorphism search: matching conjunctions of atoms into instances.
 
-    A backtracking join over the instance indexes.  Two interchangeable
-    matchers drive it: the {b naive} left-to-right reference matcher (the
-    normative semantics) and the {b planned} matcher, which follows a
-    selectivity-ordered {!Plan} and probes the smallest index at every
-    step.  Both produce the same substitution {e set}; the top-level
-    entry points dispatch on {!matcher}, which is planned unless the
-    naive reference was selected with {!set_matcher}.
+    One backtracking core joins compiled atoms ({!Template.t}) over the
+    instance indexes: it binds a [Term.t] slot array in place, undoing
+    through a trail, and reports the fact id each body atom matched.  Two
+    policies drive it: the {b naive} left-to-right reference (the
+    normative semantics), which probes the index at the first determined
+    position, and the {b planned} one, which follows a selectivity-ordered
+    {!Plan} and probes the smallest index at every step.  Both produce the
+    same binding {e set}; the dispatching entry points use {!matcher},
+    which is planned unless the naive reference was selected with
+    {!set_matcher}.  Every substitution entry point compiles its atoms,
+    binds its initial substitution into the slots and converts each
+    complete binding back to a substitution.
 
     All searches extend an optional initial substitution, which is how
     frontier-restricted matching (restricted chase satisfaction,
@@ -60,6 +65,32 @@ val matcher : unit -> matcher
 val set_matcher : matcher -> unit
 (** Process-wide override: the hook through which the differential tests
     and the experiment harness run the naive reference. *)
+
+(** {1 The slot core} *)
+
+val unbound : Term.t
+(** The value of a slot that is not bound.  Tests against it are
+    physical ([==]). *)
+
+val iter_slots :
+  ?seed:Atom.t ->
+  Instance.t ->
+  Template.t array ->
+  slots:Term.t array ->
+  (int array -> unit) ->
+  unit
+(** [iter_slots ins body ~slots k] calls [k ids] once for every way of
+    binding the {!unbound} slots so that every template maps onto a fact;
+    during the call [slots] holds the binding and [ids.(i)] the id of the
+    fact body atom [i] matched (both are reused: copy what you keep).
+    Slots bound on entry stay as they are; the slots the search binds
+    are {!unbound} again when it returns.
+    With [seed], only bindings that map some body atom onto the seed,
+    each once.  Dispatches on {!matcher} and counts each call of [k] as
+    a match.  If [k] raises, [slots] is left as it was at the raise. *)
+
+val exists_slots : Instance.t -> Template.t array -> slots:Term.t array -> bool
+(** Whether {!iter_slots} would call its continuation at least once. *)
 
 (** {1 Dispatching entry points} *)
 

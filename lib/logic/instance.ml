@@ -4,16 +4,17 @@
     enumerating candidate atoms for body matching, so besides the
     membership table each predicate keeps a bucket of its facts and one
     [Term.hash]-keyed table per argument position, used to narrow matching
-    when a body atom already has a bound argument.  Buckets list their
-    facts newest first and carry their cardinality, and a position table's
-    size is its number of distinct terms, so the join planner's statistics
-    ({!Plan}) are O(1) and never walk a bucket. *)
+    when a body atom already has a bound argument.  Every fact gets a dense
+    id when it is added (0, 1, … in insertion order); buckets are growable
+    arrays of ids that the matcher walks newest first, and a position
+    table's size is its number of distinct terms, so the join planner's
+    statistics ({!Plan}) are O(1) and never walk a bucket. *)
 
 module Term_tbl = Hashtbl.Make (Term)
 
 type bucket = {
-  mutable elts : Atom.t list;
-  mutable n : int;  (** [List.length elts], maintained incrementally *)
+  mutable ids : int array;  (** fact ids, oldest first; [n] are in use *)
+  mutable n : int;
 }
 
 type pred_index = {
@@ -22,15 +23,19 @@ type pred_index = {
 }
 
 type t = {
-  all : unit Atom.Tbl.t;  (** membership *)
+  all : int Atom.Tbl.t;  (** membership: fact → id *)
+  mutable by_id : Atom.t array;  (** id → fact; [size] are in use *)
   by_pred : (string, pred_index) Hashtbl.t;
   by_term : bucket Term_tbl.t;
   mutable size : int;
 }
 
+let dummy = Atom.make "" [||]
+
 let create ?(initial_capacity = 256) () =
   {
     all = Atom.Tbl.create initial_capacity;
+    by_id = Array.make (max 1 initial_capacity) dummy;
     by_pred = Hashtbl.create 32;
     by_term = Term_tbl.create initial_capacity;
     size = 0;
@@ -38,30 +43,47 @@ let create ?(initial_capacity = 256) () =
 
 let mem ins a = Atom.Tbl.mem ins.all a
 let cardinal ins = ins.size
+let fact ins id = ins.by_id.(id)
+let id_of ins a = Option.value (Atom.Tbl.find_opt ins.all a) ~default:(-1)
 
-let push b a =
-  b.elts <- a :: b.elts;
+(* Doubling append.  A reader that took [b.n] before a push still reads
+   the same first [n] ids: they are copied, never overwritten. *)
+let push b id =
+  if b.n = Array.length b.ids then begin
+    let ids = Array.make (max 4 (2 * b.n)) 0 in
+    Array.blit b.ids 0 ids 0 b.n;
+    b.ids <- ids
+  end;
+  b.ids.(b.n) <- id;
   b.n <- b.n + 1
 
-let push_at tbl t a =
+let push_at tbl t id =
   match Term_tbl.find_opt tbl t with
-  | Some b -> push b a
-  | None -> Term_tbl.add tbl t { elts = [ a ]; n = 1 }
+  | Some b -> push b id
+  | None -> Term_tbl.add tbl t { ids = [| id |]; n = 1 }
 
-(** [add ins a] inserts [a]; returns [true] iff the atom is new.  Raises
-    [Invalid_argument] if [a] contains a variable. *)
+(** [add ins a] inserts [a]; returns [true] iff the atom is new, in which
+    case its id is [cardinal ins - 1].  Raises [Invalid_argument] if [a]
+    contains a variable. *)
 let add ins a =
   if not (Atom.is_fact a) then invalid_arg "Instance.add: atom contains a variable";
   if Atom.Tbl.mem ins.all a then false
   else begin
-    Atom.Tbl.add ins.all a ();
-    ins.size <- ins.size + 1;
+    let id = ins.size in
+    Atom.Tbl.add ins.all a id;
+    if id = Array.length ins.by_id then begin
+      let by_id = Array.make (2 * id) dummy in
+      Array.blit ins.by_id 0 by_id 0 id;
+      ins.by_id <- by_id
+    end;
+    ins.by_id.(id) <- a;
+    ins.size <- id + 1;
     let args = Atom.args a and p = Atom.pred a in
     let pi =
       match Hashtbl.find_opt ins.by_pred p with
       | Some pi -> pi
       | None ->
-        let pi = { facts = { elts = []; n = 0 }; at_pos = [||] } in
+        let pi = { facts = { ids = [||]; n = 0 }; at_pos = [||] } in
         Hashtbl.add ins.by_pred p pi;
         pi
     in
@@ -69,13 +91,13 @@ let add ins a =
     if grow > 0 then
       pi.at_pos <-
         Array.append pi.at_pos (Array.init grow (fun _ -> Term_tbl.create 16));
-    push pi.facts a;
+    push pi.facts id;
     Array.iteri
       (fun i t ->
-        push_at pi.at_pos.(i) t a;
+        push_at pi.at_pos.(i) t id;
         (* once per distinct term: at its first position only *)
         let rec first j = j = i || ((not (Term.equal args.(j) t)) && first (j + 1)) in
-        if first 0 then push_at ins.by_term t a)
+        if first 0 then push_at ins.by_term t id)
       args;
     true
   end
@@ -88,7 +110,7 @@ let of_list atoms =
   ins
 
 (* Sentinels for absent keys; never mutated ([add] makes its own entries). *)
-let no_facts = { elts = []; n = 0 }
+let no_facts = { ids = [||]; n = 0 }
 let no_pred = { facts = no_facts; at_pos = [||] }
 let no_terms = Term_tbl.create 1
 let pred ins p = Option.value (Hashtbl.find_opt ins.by_pred p) ~default:no_pred
@@ -99,33 +121,44 @@ let at_pos ins p i =
 
 let lookup tbl t = Option.value (Term_tbl.find_opt tbl t) ~default:no_facts
 
-let atoms_of_pred ins p = (pred ins p).facts.elts
+(* ---- Buckets of fact ids (the matcher's view) ---- *)
+
+let pred_bucket ins p = (pred ins p).facts
+let matching_bucket ins p i t = lookup (at_pos ins p i) t
+let bucket_size b = b.n
+let bucket_id b j = b.ids.(j)
+
+(* Newest first: every list the instance returns is. *)
+let atoms_of_bucket ins b =
+  let rec go j acc = if j >= b.n then acc else go (j + 1) (ins.by_id.(b.ids.(j)) :: acc) in
+  go 0 []
+
+let atoms_of_pred ins p = atoms_of_bucket ins (pred_bucket ins p)
 
 (** [atoms_matching ins p i t] are the atoms of predicate [p] whose [i]-th
     argument is exactly the term [t]. *)
-let atoms_matching ins p i t = (lookup (at_pos ins p i) t).elts
+let atoms_matching ins p i t = atoms_of_bucket ins (matching_bucket ins p i t)
 
 (** [atoms_containing ins t] are the atoms in which term [t] occurs. *)
-let atoms_containing ins t = (lookup ins.by_term t).elts
+let atoms_containing ins t = atoms_of_bucket ins (lookup ins.by_term t)
 
 (* ---- O(1) cardinality accessors (the planner's statistics) ---- *)
 
 let count_of_pred ins p = (pred ins p).facts.n
-let count_matching ins p i t = (lookup (at_pos ins p i) t).n
+let count_matching ins p i t = (matching_bucket ins p i t).n
 let distinct_at ins p i = Term_tbl.length (at_pos ins p i)
 
-let iter f ins = Atom.Tbl.iter (fun a () -> f a) ins.all
-let fold f ins init = Atom.Tbl.fold (fun a () acc -> f a acc) ins.all init
+let iter f ins = Atom.Tbl.iter (fun a _ -> f a) ins.all
+let fold f ins init = Atom.Tbl.fold (fun a _ acc -> f a acc) ins.all init
 let to_list ins = fold (fun a acc -> a :: acc) ins []
 let to_sorted_list ins = List.sort Atom.compare (to_list ins)
-
-let copy ins = of_list (to_list ins)
 
 (** All predicates with at least one fact, with their arities. *)
 let predicates ins =
   Hashtbl.fold
     (fun p pi acc ->
-      match pi.facts.elts with [] -> acc | a :: _ -> (p, Atom.arity a) :: acc)
+      let b = pi.facts in
+      if b.n = 0 then acc else (p, Atom.arity ins.by_id.(b.ids.(b.n - 1))) :: acc)
     ins.by_pred []
 
 (** The set of all terms occurring in the instance. *)

@@ -61,35 +61,42 @@ let is_permutation t =
   n
 
 (** Smallest candidate-count estimate for [a] over its determined
-    positions, given [bound] variables; [count_of_pred] if none. *)
-let estimate ?(bound = Util.Sset.empty) ins a =
+    positions, given which slots are [bound]; [count_of_pred] if none. *)
+let estimate bound ins (a : Template.t) =
   incr Stats.estimates;
-  let p = Atom.pred a in
+  let p = a.pred in
   let full = Instance.count_of_pred ins p in
   let best = ref full in
   Array.iteri
-    (fun i t ->
+    (fun i arg ->
       let e =
-        match t with
-        | Term.Const _ | Term.Null _ -> Some (Instance.count_matching ins p i t)
-        | Term.Var v ->
-          if Util.Sset.mem v bound then
+        match arg with
+        | Template.Fixed t -> Some (Instance.count_matching ins p i t)
+        | Template.Slot s ->
+          if bound.(s) then
             (* unknown term: average bucket size at this position *)
             let d = Instance.distinct_at ins p i in
             if d = 0 then Some 0 else Some ((full + d - 1) / d)
           else None
       in
       match e with Some e when e < !best -> best := e | _ -> ())
-    (Atom.args a);
+    a.args;
   !best
 
-let vars_of a = Atom.var_set a
+let bind_slots bound (a : Template.t) =
+  Array.iter (function Template.Slot s -> bound.(s) <- true | Fixed _ -> ()) a.args
 
-(* Greedy selection over the remaining atoms; [fixed] indices are already
-   placed (the seeded pin).  O(n²) estimate calls, all O(1). *)
-let plan_greedy ~bound ins body_arr placed =
-  incr Stats.plans;
+(** [of_templates ~bound ?pin ins body]: greedy selection over the atoms
+    not yet placed (the [pin], if any, goes first).  [bound] marks the
+    slots determined before the search starts; it is not modified.
+    O(n²) estimate calls, all O(1). *)
+let of_templates ~bound ?pin ins body_arr =
   let n = Array.length body_arr in
+  (match pin with
+  | Some p when p < 0 || p >= n -> invalid_arg "Plan.of_templates: pin out of range"
+  | _ -> ());
+  incr Stats.plans;
+  let placed = Option.to_list pin in
   if n - List.length placed <= 1 then
     (* nothing to order: the permutation is forced *)
     { order =
@@ -101,10 +108,11 @@ let plan_greedy ~bound ins body_arr placed =
     }
   else begin
   let chosen = Array.make n false in
-  List.iter (fun i -> chosen.(i) <- true) placed;
-  let bound = ref bound in
+  let bound = Array.copy bound in
   List.iter
-    (fun i -> bound := Util.Sset.union (vars_of body_arr.(i)) !bound)
+    (fun i ->
+      chosen.(i) <- true;
+      bind_slots bound body_arr.(i))
     placed;
   let out = ref (List.rev placed) in
   for _ = 1 to n - List.length placed do
@@ -112,7 +120,7 @@ let plan_greedy ~bound ins body_arr placed =
     let best_cost = ref max_int in
     for i = 0 to n - 1 do
       if not chosen.(i) then begin
-        let c = estimate ~bound:!bound ins body_arr.(i) in
+        let c = estimate bound ins body_arr.(i) in
         (* strict [<]: ties keep the earliest body index *)
         if c < !best_cost then begin
           best := i;
@@ -121,22 +129,8 @@ let plan_greedy ~bound ins body_arr placed =
       end
     done;
     chosen.(!best) <- true;
-    bound := Util.Sset.union (vars_of body_arr.(!best)) !bound;
+    bind_slots bound body_arr.(!best);
     out := !best :: !out
   done;
   { order = Array.of_list (List.rev !out) }
   end
-
-let make ?(bound = Util.Sset.empty) ins body =
-  plan_greedy ~bound ins (Array.of_list body) []
-
-let seeded ?(bound = Util.Sset.empty) ins body ~pin =
-  let body_arr = Array.of_list body in
-  if pin < 0 || pin >= Array.length body_arr then
-    invalid_arg "Plan.seeded: pin out of range";
-  plan_greedy ~bound ins body_arr [ pin ]
-
-let pp fm t =
-  Fmt.pf fm "[%a]"
-    (Fmt.list ~sep:(Fmt.any " ") Fmt.int)
-    (Array.to_list t.order)

@@ -28,17 +28,15 @@ module Stats : sig
   val reset : unit -> unit
 end
 
-val make : ?bound:Util.Sset.t -> Instance.t -> Atom.t list -> t
-(** [make ?bound ins body] orders [body] by estimated selectivity against
-    [ins].  [bound] are variables already determined by the initial
-    substitution of the search (their positions count as bound from the
-    start).  The empty body yields the empty plan. *)
-
-val seeded : ?bound:Util.Sset.t -> Instance.t -> Atom.t list -> pin:int -> t
-(** [seeded ins body ~pin] plans a delta-driven rederivation: the body
+val of_templates :
+  bound:bool array -> ?pin:int -> Instance.t -> Template.t array -> t
+(** [of_templates ~bound ?pin ins body] orders the compiled [body] by
+    estimated selectivity against [ins].  [bound.(s)] tells whether slot
+    [s] is determined before the search starts (its positions count as
+    bound from the start).  With [pin], a delta-driven rederivation: the
     atom at index [pin] is matched against the seed fact and therefore
-    goes first (its single candidate is the seed); the remaining atoms
-    are ordered greedily with [pin]'s variables bound.
+    goes first; the rest are ordered greedily with its slots bound.  The
+    empty body yields the empty plan.
     @raise Invalid_argument if [pin] is out of range. *)
 
 val order : t -> int array
@@ -54,10 +52,3 @@ val is_permutation : t -> int
 (** Checked accessor used by the property tests: returns the length if
     [order] is a permutation of [0..n-1], raises otherwise. *)
 
-val estimate : ?bound:Util.Sset.t -> Instance.t -> Atom.t -> int
-(** The planner's cost estimate for matching one atom given the bound
-    variables: the smallest bucket-size estimate over its determined
-    positions, or the predicate cardinality when none is determined.
-    Exposed for tests and diagnostics. *)
-
-val pp : Format.formatter -> t -> unit

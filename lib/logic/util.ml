@@ -13,33 +13,38 @@ let rec list_compare cmp xs ys =
     let c = cmp x y in
     if c <> 0 then c else list_compare cmp xs' ys'
 
+(* The array helpers below sit on the chase's per-trigger path (trigger
+   and atom hashing, comparison, equality), so they loop without
+   allocating a closure per call. *)
+
+let rec compare_from cmp a b i =
+  if i >= Array.length a then 0
+  else
+    let c = cmp a.(i) b.(i) in
+    if c <> 0 then c else compare_from cmp a b (i + 1)
+
 (** [array_compare cmp a b] compares arrays lexicographically (shorter first). *)
 let array_compare cmp a b =
-  let la = Array.length a and lb = Array.length b in
-  let c = Int.compare la lb in
-  if c <> 0 then c
-  else
-    let rec go i =
-      if i >= la then 0
-      else
-        let c = cmp a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  let c = Int.compare (Array.length a) (Array.length b) in
+  if c <> 0 then c else compare_from cmp a b 0
+
+let rec for_all2_from p a b i =
+  i >= Array.length a || (p a.(i) b.(i) && for_all2_from p a b (i + 1))
 
 (** [array_for_all2 p a b] checks [p a.(i) b.(i)] for all i; false on length
     mismatch. *)
 let array_for_all2 p a b =
-  Array.length a = Array.length b
-  &&
-  let rec go i = i >= Array.length a || (p a.(i) b.(i) && go (i + 1)) in
-  go 0
+  Array.length a = Array.length b && for_all2_from p a b 0
 
 (** Combine two hash values (FNV-style mixing). *)
 let hash_combine h1 h2 = (h1 * 16777619) lxor h2
 
 let hash_fold_array hash init arr =
-  Array.fold_left (fun acc x -> hash_combine acc (hash x)) init arr
+  let h = ref init in
+  for i = 0 to Array.length arr - 1 do
+    h := hash_combine !h (hash arr.(i))
+  done;
+  !h
 
 (** [pp_list sep pp] pretty-prints a list with separator string [sep]. *)
 let pp_list sep pp = Fmt.list ~sep:(fun fm () -> Fmt.string fm sep) pp

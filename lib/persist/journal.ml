@@ -271,8 +271,11 @@ let parse_frame data pos =
       `Frame (data.[pos + 8], String.sub data (pos + 9) (len - 1), pos + 8 + len)
   end
 
-let read path =
-  if not (Sys.file_exists path) then Error (Fmt.str "no such journal: %s" path)
+exception Stopped
+
+let read ?(stop = fun () -> false) path =
+  if stop () then Error "journal read stopped"
+  else if not (Sys.file_exists path) then Error (Fmt.str "no such journal: %s" path)
   else begin
     let data = try Ok (read_file path) with Sys_error m -> Error m in
     match data with
@@ -301,6 +304,7 @@ let read path =
             let records = ref [] in
             let last_step = ref 0 in
             let rec go pos =
+              if !last_step > 0 && !last_step land 15 = 0 && stop () then raise Stopped;
               match parse_frame data pos with
               | `Eof -> Clean
               | `Torn reason -> Torn { offset = pos; reason }
@@ -327,8 +331,9 @@ let read path =
                     end
                 end
             in
-            let tail = go pos0 in
-            Ok (header, List.rev !records, tail))
+            match go pos0 with
+            | tail -> Ok (header, List.rev !records, tail)
+            | exception Stopped -> Error "journal read stopped")
       end
   end
 

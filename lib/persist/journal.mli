@@ -83,11 +83,17 @@ type tail =
 
 val pp_tail : Format.formatter -> tail -> unit
 
-val read : string -> (header * Codec.step_record list * tail, string) result
+val read :
+  ?stop:(unit -> bool) ->
+  string ->
+  (header * Codec.step_record list * tail, string) result
 (** The valid prefix of the journal.  [Error] only for a missing file, an
     unreadable file, a bad magic or a corrupt header; any later damage —
     short frame, checksum mismatch, undecodable payload, out-of-order
-    step — ends the prefix and is reported as the {!tail}. *)
+    step — ends the prefix and is reported as the {!tail}.  [stop] is
+    asked before the file is read and then after every 16th record
+    decoded; once it answers [true] the read ends with
+    [Error "journal read stopped"]. *)
 
 val truncate_at : string -> int -> unit
 (** Physically truncate the file at the byte offset (drop a torn tail

@@ -21,8 +21,13 @@ type report = {
       (** byte offset and reason when a corrupt tail was detected *)
 }
 
-let recover ?snapshot ~journal ~variant ~rules ~db () =
-  match Journal.read journal with
+let cancelled = function
+  | Some k -> Chase_engine.Limits.Cancel.is_cancelled k
+  | None -> false
+
+let recover ?cancel ?snapshot ~journal ~variant ~rules ~db () =
+  match Journal.read ~stop:(fun () -> cancelled cancel) journal with
+  | Error _ when cancelled cancel -> Error "certification cancelled"
   | Error m -> Error m
   | Ok (header, jrecords, tail) -> (
     match Journal.matches header ~variant ~rules ~db with
@@ -144,7 +149,4 @@ let verify ?cancel ~variant ~rules ~db report =
   | Error _ as e -> e
   | Ok _ -> (
     (* a cancelled re-run stopped short of the history: not certified *)
-    match cancel with
-    | Some k when Chase_engine.Limits.Cancel.is_cancelled k ->
-      Error "certification cancelled"
-    | _ -> Ok ())
+    if cancelled cancel then Error "certification cancelled" else Ok ())

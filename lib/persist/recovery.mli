@@ -22,6 +22,7 @@ type report = {
 }
 
 val recover :
+  ?cancel:Chase_engine.Limits.Cancel.t ->
   ?snapshot:string ->
   journal:string ->
   variant:Chase_engine.Variant.t ->
@@ -35,7 +36,9 @@ val recover :
     magic or corrupt header, or identifies a different program (digest
     mismatch); a torn {e tail} is not an error.  Nothing is written,
     and no record is checked here: that is the re-run's job
-    ({!expect}). *)
+    ({!expect}).  [cancel] is checked before the journal is read and
+    every 16 records while it is decoded; a cancelled read is
+    [Error "certification cancelled"]. *)
 
 val repair : journal:string -> report -> unit
 (** Make the journal hold exactly the report's history, so appends

@@ -268,7 +268,7 @@ let certify_one ?cancel ~spool_dir name =
         in
         Some
           (Result.bind
-             (Recovery.recover ?snapshot ~journal:jnl ~variant ~rules ~db ())
+             (Recovery.recover ?cancel ?snapshot ~journal:jnl ~variant ~rules ~db ())
              (fun report ->
                Result.map
                  (fun () -> List.length report.Recovery.history)

@@ -238,6 +238,107 @@ let test_stats_exact_under_threads () =
   check "plans" p1.Plan.Stats.plans pn.Plan.Stats.plans;
   check "estimates" p1.Plan.Stats.estimates pn.Plan.Stats.estimates
 
+(* A trigger's depth is fixed when the trigger is found, from the
+   depths of the facts its body matched.  It must equal what the hook
+   can recompute: 1 + the deepest fact of the body image, database facts
+   at depth 0, every added fact at its step's depth. *)
+let trigger_depth_is_body_depth =
+  qcheck ~count:60 "trigger depth = 1 + max depth of the body image (o, so)"
+    QCheck.small_nat (fun seed ->
+      let rules =
+        if seed mod 2 = 0 then Random_tgds.guarded ~seed ()
+        else Random_tgds.linear ~seed ()
+      in
+      let db = Instance.to_list (Critical.of_rules rules) in
+      List.for_all
+        (fun variant ->
+          let depth_of = Atom.Tbl.create 64 in
+          List.iter (fun a -> Atom.Tbl.replace depth_of a 0) db;
+          let ok = ref true in
+          let on_trigger ~step:_ ~rule_index:_ ~depth ~created_nulls:_ rule hom added =
+            let body = Subst.apply_atoms hom (Tgd.body rule) in
+            let deepest =
+              List.fold_left
+                (fun d a ->
+                  match Atom.Tbl.find_opt depth_of a with
+                  | Some k -> max d k
+                  | None ->
+                    ok := false;
+                    d)
+                0 body
+            in
+            if depth <> 1 + deepest then ok := false;
+            List.iter (fun a -> Atom.Tbl.replace depth_of a depth) added
+          in
+          let result =
+            Engine.run
+              ~config:{ Engine.variant; limits = Limits.of_budget 500 }
+              ~on_trigger rules db
+          in
+          !ok && result.Engine.triggers_applied > 0)
+        [ Variant.Oblivious; Variant.Semi_oblivious ])
+
+(* The transitive closure of a directed 30-cycle, the benchmark's
+   chase-closure job: every trigger is a homomorphism the oblivious
+   chase must apply, so its work is fixed — 27,000 triggers for 900
+   facts — and so are the matcher's counts for finding them. *)
+let test_closure_work_pinned () =
+  let n = 30 in
+  let node i = Term.Const (Fmt.str "v%d" i) in
+  let db = List.init n (fun i -> Atom.of_list "e" [ node i; node ((i + 1) mod n) ]) in
+  let rules = parse "tc: e(X, Y), e(Y, Z) -> e(X, Z)." in
+  let h0 = Hom.Stats.snapshot () in
+  let result = chase ~budget:100_000 rules db in
+  let h = Hom.Stats.diff h0 (Hom.Stats.snapshot ()) in
+  Alcotest.(check bool) "terminated" true (result.Engine.status = Engine.Terminated);
+  Alcotest.(check int) "triggers" 27_000 result.Engine.triggers_applied;
+  Alcotest.(check int) "facts" 900 (Instance.cardinal result.Engine.instance);
+  Alcotest.(check int) "candidates" 27_060 h.Hom.Stats.candidates;
+  Alcotest.(check int) "probes" 1_770 h.Hom.Stats.probes;
+  Alcotest.(check int) "matches" 27_000 h.Hom.Stats.matches
+
+(* Multi-atom heads: one application adds two facts, and a homomorphism
+   whose image holds both is found once through each (p(a, b), p(b, a)
+   for m2; t(X, n), t(n, Y) for m4), but must be applied once.  The
+   counts and a digest of the whole trigger sequence (step, rule, depth,
+   homomorphism, nulls, added facts) are those of the run-wide dedup the
+   engine had before its seen-set was scoped to one application under o
+   and r; without the dedup o applies 63 triggers and r skips 13. *)
+let test_multi_head_sequence_pinned () =
+  let rules =
+    parse
+      "m1: e(X, Y) -> p(X, Y), p(Y, X).\n\
+       m2: p(X, Y), p(Y, X) -> s(X, Y).\n\
+       m3: s(X, Y) -> t(X, Z), t(Z, Y).\n\
+       m4: t(X, Y), t(Y, Z) -> u(X, Z)."
+  in
+  let db = parse_facts "e(a, b). e(b, c). e(c, a). e(a, a). t(a, a)." in
+  List.iter
+    (fun (variant, applied, skipped, facts, digest) ->
+      let lines = ref [] in
+      let on_trigger ~step ~rule_index ~depth ~created_nulls _ hom added =
+        lines :=
+          Fmt.str "%d %d %d %s [%s] -> %a" step rule_index depth (Subst.to_string hom)
+            (String.concat "," (List.map string_of_int created_nulls))
+            Fmt.(list ~sep:comma Atom.pp)
+            added
+          :: !lines
+      in
+      let r =
+        Engine.run ~config:{ Engine.variant; limits = Limits.of_budget 1000 } ~on_trigger rules db
+      in
+      let name what = Fmt.str "%s %s" (Variant.to_string variant) what in
+      Alcotest.(check int) (name "applied") applied r.Engine.triggers_applied;
+      Alcotest.(check int) (name "skipped") skipped r.Engine.triggers_skipped;
+      Alcotest.(check int) (name "facts") facts (Instance.cardinal r.Engine.instance);
+      Alcotest.(check string) (name "sequence") digest
+        (Digest.to_hex (Digest.string (String.concat "\n" (List.rev !lines)))))
+    [
+      (Variant.Oblivious, 49, 0, 63, "6efcd06626f54bfcd22cb0aee33d180f");
+      (Variant.Restricted, 40, 1, 54, "1e636946a6dc664c3bbbbe68c9b3552e");
+      (Variant.Semi_oblivious, 48, 0, 63, "a4d07e4451750506f4bc732c90d0daee");
+    ]
+
 (* ------------- budgets ------------- *)
 
 let test_budget_is_respected () =
@@ -457,6 +558,11 @@ let suite =
       test_derivations_exact;
     Alcotest.test_case "matcher counters exact across threads" `Quick
       test_stats_exact_under_threads;
+    trigger_depth_is_body_depth;
+    Alcotest.test_case "closure of a 30-cycle: work pinned" `Quick
+      test_closure_work_pinned;
+    Alcotest.test_case "multi-atom heads: trigger sequence pinned (o, r, so)" `Quick
+      test_multi_head_sequence_pinned;
     Alcotest.test_case "budgets respected" `Quick test_budget_is_respected;
     Alcotest.test_case "trigger budget: sound partial prefix" `Quick
       test_trigger_budget_breach;

@@ -634,6 +634,31 @@ let test_recover_wrong_program () =
           ~db:[ fact "e(z, z)" ] ()));
   cleanup path
 
+(* A cancelled recovery stops reading: a token cancelled before the call
+   refuses even a journal of another program before its header is
+   matched, and the journal reader asks its [stop] hook every 16 records,
+   so a read stopped at its third question decoded 32 of 165 records. *)
+let test_recover_cancelled () =
+  let rules = rules () and db = db () in
+  let path = tmp_journal () in
+  let _ = run_journaled path rules db in
+  let cancel = Limits.Cancel.create () in
+  Limits.Cancel.cancel cancel;
+  let recover rules =
+    match Recovery.recover ~cancel ~journal:path ~variant:Variant.Oblivious ~rules ~db () with
+    | Ok _ -> "recovered"
+    | Error m -> m
+  in
+  Alcotest.(check string) "cancelled before reading" "certification cancelled" (recover rules);
+  Alcotest.(check string) "cancelled before the header check" "certification cancelled"
+    (recover (parse "q: e(X, Y) -> e(Y, X)."));
+  let asked = ref 0 in
+  let read = Journal.read ~stop:(fun () -> incr asked; !asked >= 3) path in
+  Alcotest.(check string) "stopped read" "journal read stopped"
+    (match read with Ok _ -> "read" | Error m -> m);
+  Alcotest.(check int) "asked before reading and after records 16 and 32" 3 !asked;
+  cleanup path
+
 (* ------------------------------------------------------------------ *)
 (* Resuming through the CLI driver                                     *)
 (* ------------------------------------------------------------------ *)
@@ -867,6 +892,8 @@ let suite =
     Alcotest.test_case
       "kill-point sweep: resumed stdout and journal = uninterrupted" `Quick
       test_kill_point_sweep;
+    Alcotest.test_case "cancelled recovery stops reading the journal" `Quick
+      test_recover_cancelled;
     Alcotest.test_case "wrong program/variant/db refused" `Quick
       test_recover_wrong_program;
     Alcotest.test_case "replay rejects tampered histories" `Quick

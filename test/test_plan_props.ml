@@ -11,6 +11,8 @@
     - the planned matcher enumerates exactly the naive matcher's
       substitution multiset, seeded or not, under any initial binding,
       and under an adversarial explicit plan;
+    - both policies of the slot core enumerate exactly what an
+      index-free backtracking reference over all facts enumerates;
     - the engine's slot-array triggers order as [Subst.compare] orders
       their homomorphisms, and semi-oblivious frontier keys agree exactly
       when the frontier-restricted homomorphisms do;
@@ -69,14 +71,20 @@ let run_seeds n f =
 (* Plan-shape properties                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The planner's view of a body: compiled over its variables in name
+   order, none bound up front. *)
+let plan_for ?pin ins body =
+  let vars, body = Template.compile_all body in
+  Plan.of_templates ~bound:(Array.make (Array.length vars) false) ?pin ins body
+
 let plan_is_permutation () =
   run_seeds 100 (fun seed st ->
       let ins = gen_instance st ~atoms:(size_of_seed seed) in
       let body = gen_body st in
       let n = List.length body in
-      let plan = Plan.make ins body in
+      let plan = plan_for ins body in
       Alcotest.(check int)
-        (Fmt.str "seed %d: Plan.make is a permutation" seed)
+        (Fmt.str "seed %d: the plan is a permutation" seed)
         n
         (Plan.is_permutation plan);
       Alcotest.(check int)
@@ -84,9 +92,9 @@ let plan_is_permutation () =
         n (Plan.length plan);
       for pin = 0 to n - 1 do
         Alcotest.(check int)
-          (Fmt.str "seed %d pin %d: Plan.seeded is a permutation" seed pin)
+          (Fmt.str "seed %d pin %d: the pinned plan is a permutation" seed pin)
           n
-          (Plan.is_permutation (Plan.seeded ins body ~pin))
+          (Plan.is_permutation (plan_for ins body ~pin))
       done)
 
 let seeded_plan_pins_first () =
@@ -94,22 +102,22 @@ let seeded_plan_pins_first () =
       let ins = gen_instance st ~atoms:(size_of_seed seed) in
       let body = gen_body st in
       for pin = 0 to List.length body - 1 do
-        let plan = Plan.seeded ins body ~pin in
+        let plan = plan_for ins body ~pin in
         Alcotest.(check int)
           (Fmt.str "seed %d: pinned atom is matched first" seed)
           pin
           (Plan.order plan).(0)
       done);
   Alcotest.check_raises "pin out of range"
-    (Invalid_argument "Plan.seeded: pin out of range") (fun () ->
+    (Invalid_argument "Plan.of_templates: pin out of range") (fun () ->
       let body = [ Atom.of_list "p" [ Term.Const "c" ] ] in
-      ignore (Plan.seeded (Instance.create ()) body ~pin:1))
+      ignore (plan_for (Instance.create ()) body ~pin:1))
 
 let plan_atoms_matches_order () =
   run_seeds 50 (fun seed st ->
       let ins = gen_instance st ~atoms:(size_of_seed seed) in
       let body = gen_body st in
-      let plan = Plan.make ins body in
+      let plan = plan_for ins body in
       let arr = Array.of_list body in
       Alcotest.(check (list atom_testable))
         (Fmt.str "seed %d: Plan.atoms follows Plan.order" seed)
@@ -167,11 +175,84 @@ let explicit_plan_equals_naive () =
       let ins = gen_instance st ~atoms:(size_of_seed seed) in
       let body = gen_body st in
       let n = List.length body in
-      let forced = Plan.seeded ins body ~pin:(n - 1) in
+      let forced = plan_for ins body ~pin:(n - 1) in
       check_same_subs
         (Fmt.str "seed %d: iter ?plan" seed)
         (Hom.iter_naive ins body)
         (Hom.iter_planned ~plan:forced ins body))
+
+(* A reference that uses no index: plain backtracking over every fact of
+   the instance with [Hom.match_atom].  With [seed], only substitutions
+   mapping some body atom onto the seed.  A substitution fixes the image
+   of every body atom, so each is produced once. *)
+let reference ?(init = Subst.empty) ?seed ins body f =
+  let facts = Instance.to_list ins in
+  let is_seed a = match seed with Some s -> Atom.equal a s | None -> false in
+  let rec go pats sub used =
+    match pats with
+    | [] -> if used || seed = None then f sub
+    | pat :: rest ->
+      List.iter
+        (fun a ->
+          match Hom.match_atom sub pat a with
+          | Some sub' -> go rest sub' (used || is_seed a)
+          | None -> ())
+        facts
+  in
+  go body init false
+
+(* Both policies of the slot core, seeded and not, with and without an
+   initial binding, through the substitution wrappers and through
+   [iter_slots] itself, against the index-free reference. *)
+let core_equals_reference () =
+  run_seeds 120 (fun seed st ->
+      let ins = gen_instance st ~atoms:(size_of_seed seed) in
+      let body = gen_body st in
+      let seed_fact = gen_fact st in
+      ignore (Instance.add ins seed_fact);
+      let init =
+        if seed mod 2 = 0 then Subst.empty
+        else Subst.bind_exn Subst.empty "X0" (const st 9)
+      in
+      let vars, templates = Template.compile_all body in
+      let via_slots ?seed f =
+        let slots =
+          Array.map (fun v -> Option.value (Subst.find_opt v init) ~default:Hom.unbound) vars
+        in
+        let free =
+          List.filter (fun i -> not (Subst.mem vars.(i) init)) (List.init (Array.length vars) Fun.id)
+        in
+        Hom.iter_slots ?seed ins templates ~slots
+          (fun _ ->
+            f (List.fold_left (fun s i -> Subst.bind_exn s vars.(i) slots.(i)) init free))
+      in
+      let with_matcher m iter f =
+        let saved = Hom.matcher () in
+        Hom.set_matcher m;
+        Fun.protect ~finally:(fun () -> Hom.set_matcher saved) (fun () -> iter f)
+      in
+      let want = collect (reference ~init ins body) in
+      let want_seeded = collect (reference ~init ~seed:seed_fact ins body) in
+      List.iter
+        (fun (what, want, got) ->
+          Alcotest.(check (list subst_testable)) (Fmt.str "seed %d: %s" seed what) want
+            (collect got))
+        [
+          ("naive", want, Hom.iter_naive ~init ins body);
+          ("planned", want, Hom.iter_planned ~init ins body);
+          ("slots naive", want, with_matcher Hom.Naive (via_slots ?seed:None));
+          ("slots planned", want, with_matcher Hom.Planned (via_slots ?seed:None));
+          ("seeded naive", want_seeded, Hom.iter_seeded_naive ~init ins body ~seed:seed_fact);
+          ( "seeded planned",
+            want_seeded,
+            Hom.iter_seeded_planned ~init ins body ~seed:seed_fact );
+          ( "slots seeded naive",
+            want_seeded,
+            with_matcher Hom.Naive (via_slots ~seed:seed_fact) );
+          ( "slots seeded planned",
+            want_seeded,
+            with_matcher Hom.Planned (via_slots ~seed:seed_fact) );
+        ])
 
 (* The dispatching entry points follow the forced matcher. *)
 let dispatch_follows_set_matcher () =
@@ -217,7 +298,14 @@ let slot_order_is_subst_order =
       let r = gen_rule st in
       let c = Trigger.compile 0 r in
       let subs = List.filteri (fun i _ -> i < 60) (Hom.all ins (Tgd.body r)) in
-      let trs = List.map (Trigger.of_subst c) subs in
+      let trs =
+        List.map
+          (fun s ->
+            Trigger.make c
+              (Array.init c.n_body (fun i -> Option.get (Subst.find_opt c.vars.(i) s)))
+              ~depth:0)
+          subs
+      in
       let pairs = List.combine subs trs in
       let frontier s = Subst.restrict s (Tgd.frontier r) in
       let key = Trigger.key Variant.Semi_oblivious c in
@@ -318,6 +406,8 @@ let suite =
       planned_equals_naive_with_init;
     Alcotest.test_case "planned seeded iter = naive seeded iter" `Quick
       seeded_planned_equals_naive;
+    Alcotest.test_case "slot core = index-free reference (both policies)" `Quick
+      core_equals_reference;
     Alcotest.test_case "explicit ?plan preserves the substitution set" `Quick
       explicit_plan_equals_naive;
     Alcotest.test_case "dispatch follows set_matcher" `Quick

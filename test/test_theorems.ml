@@ -117,6 +117,21 @@ let thm4_named_cases () =
   check_t "guarded terminating" (Families.guarded_terminating ~arity:3) "terminates";
   check_t "guarded tower" (Families.guarded_tower ~levels:3) "terminates"
 
+(* The family is divergent only from arity 2: at arity 1 the frontier is
+   empty, so the semi-oblivious chase fires once and stops. *)
+let guarded_divergent_arity () =
+  Alcotest.check_raises "arity 1 is refused"
+    (Invalid_argument "guarded_divergent: arity must be ≥ 2") (fun () ->
+      ignore (Families.guarded_divergent ~arity:1));
+  List.iter
+    (fun variant ->
+      let v = Guarded.check ~variant (Families.guarded_divergent ~arity:2) in
+      Alcotest.(check string)
+        (Fmt.str "arity 2 diverges under %a" Variant.pp variant)
+        "diverges"
+        (Verdict.answer_to_string (Verdict.answer v)))
+    [ Variant.Oblivious; Variant.Semi_oblivious ]
+
 let thm4_agreement =
   qcheck ~count:60 "Thm 4: guarded checker agrees with the chase oracle"
     (QCheck.make QCheck.Gen.small_nat) (fun seed ->
@@ -216,6 +231,8 @@ let suite =
     Alcotest.test_case "Thm 2 arity families" `Quick thm2_arity_family;
     cto_subset_ctso;
     Alcotest.test_case "Thm 4 named cases" `Quick thm4_named_cases;
+    Alcotest.test_case "guarded_divergent: arity 1 refused, arity 2 diverges" `Quick
+      guarded_divergent_arity;
     thm4_agreement;
     Alcotest.test_case "Decide on the catalogue" `Quick decide_catalogue;
     Alcotest.test_case "Decide picks the right procedure" `Quick decide_uses_fast_path;
