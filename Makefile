@@ -90,7 +90,8 @@ fmt-ml:
 # there; one traced run per side must show the same work counts, then
 # ten alternating untraced pairs at BENCHMARK.json's run length give each
 # side's median and quartiles per end-to-end metric, judged against the
-# metric's bound (see tools/bench_compare.py).
+# metric's bound (see tools/bench_compare.py).  WORKLOAD=all compares
+# every workload of BENCHMARK.json in turn over the one BASE build.
 BASE ?= HEAD
 WORKLOAD ?= chase-closure
 bench-compare:

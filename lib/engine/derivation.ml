@@ -1,30 +1,19 @@
-(** Provenance of chase-produced facts.
-
-    For every fact added by a trigger application the engine records which
-    rule fired, the full body homomorphism, the body image (the fact's
-    parents in the derivation forest), the guard image when the rule is
-    guarded, the creation depth, and the global step number.  The
-    termination certificates of [Chase_termination] are found by walking
-    these records. *)
+(** Provenance of chase-produced facts: one record per trigger application
+    that added facts, shared by all of them, holding the compiled rule and
+    the slots it bound.  The certificates of [Chase_termination] are found
+    by walking these records. *)
 
 open Chase_logic
 
-type t = {
-  rule : Tgd.t;
-  hom : Subst.t;  (** the full body homomorphism of the trigger *)
-  parents : Atom.t list;  (** image of the body under [hom] *)
-  guard_parent : Atom.t option;
-      (** image of the guard atom, when the rule is guarded *)
-  depth : int;  (** 1 + max depth of parents; database facts have depth 0 *)
-  step : int;  (** sequence number of the trigger application *)
-  created_nulls : int list;  (** stamps of the nulls invented by the trigger *)
-}
+type t = { rule : Trigger.rule; vals : Term.t array; depth : int; step : int }
 
-let rule d = d.rule
-let parents d = d.parents
+let rule d = d.rule.Trigger.tgd
+let hom d = Trigger.to_subst d.rule d.vals
+let parents d = Array.to_list (Array.map (Template.instantiate d.vals) d.rule.Trigger.body)
+
+let guard_parent d =
+  Option.map (fun g -> Template.instantiate d.vals d.rule.Trigger.body.(g)) d.rule.Trigger.guard
+
+let created_nulls d = Trigger.nulls d.rule d.vals
 let depth d = d.depth
 let step d = d.step
-
-let pp fm d =
-  Fmt.pf fm "@[step %d, depth %d, rule %a via %a@]" d.step d.depth Tgd.pp d.rule
-    Subst.pp d.hom

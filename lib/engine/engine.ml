@@ -49,9 +49,9 @@ type result = {
   rule_firings : (string * int) list;
       (** per-rule trigger applications, descending *)
   queue_residual : int;  (** triggers left unprocessed at stop *)
-  provenance : Derivation.t Atom.Tbl.t;
-      (** derivation record for every fact created by the chase (database
-          facts have no record) *)
+  derivations : Derivation.t option array;
+      (** the derivation record of each fact, by fact id ([None] for a
+          database fact); read through {!derivation} *)
 }
 
 let exhausted r = match r.status with Exhausted _ -> true | Terminated -> false
@@ -59,10 +59,11 @@ let exhausted r = match r.status with Exhausted _ -> true | Terminated -> false
 let exhaustion r =
   match r.status with Exhausted e -> Some e | Terminated -> None
 
+let derivation result a =
+  match Instance.id_of result.instance a with -1 -> None | id -> result.derivations.(id)
+
 let depth_of result a =
-  match Atom.Tbl.find_opt result.provenance a with
-  | Some d -> Derivation.depth d
-  | None -> 0
+  match derivation result a with Some d -> Derivation.depth d | None -> 0
 
 (** [run ?config ?on_trigger ?watchdog rules db] chases the facts
     [db] with [rules].
@@ -114,7 +115,6 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
   let tracked = Obs.enabled obs in
   let instance = Instance.create () in
   List.iter (fun a -> ignore (Instance.add instance a)) db;
-  let provenance = Atom.Tbl.create 1024 in
   (* The dedup keys.  A seeded search finds each homomorphism that uses
      its seed once, and only once every fact of its image is present, so
      under o and r a homomorphism can be found again only through another
@@ -150,23 +150,25 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
   let prof_match = Array.make prof_n 0. in
   let prof_probes = Array.make prof_n 0 in
   let prof_nulls = Array.make prof_n 0 in
-  (* Depth of every fact, by fact id: written once, when the fact is
-     added, so a trigger reads its parents' depths when it is found. *)
-  let depths = ref (Array.make (max 1024 (Instance.cardinal instance)) 0) in
-  let set_depth id d =
-    if id >= Array.length !depths then begin
-      let a = Array.make (2 * id) 0 in
-      Array.blit !depths 0 a 0 (Array.length !depths);
-      depths := a
+  (* Derivation records by fact id, written when a fact is added; a
+     trigger reads its parents' depths from them when it is found. *)
+  let derivations = ref (Array.make (max 1024 (Instance.cardinal instance)) None) in
+  let set_derivation id d =
+    if id >= Array.length !derivations then begin
+      let a = Array.make (2 * id) None in
+      Array.blit !derivations 0 a 0 (Array.length !derivations);
+      derivations := a
     end;
-    !depths.(id) <- d
+    !derivations.(id) <- Some d
   in
+  let depth id = match !derivations.(id) with Some d -> d.Derivation.depth | None -> 0 in
+  (* One probe: [replace] adds the key or rewrites an equal one, and only
+     an addition grows the table. *)
   let enqueue_new tr =
     let key = Trigger.key config.variant compiled.(tr.Trigger.rule) tr in
-    if not (Trigger.Tbl.mem seen key) then begin
-      Trigger.Tbl.add seen key ();
-      Queue.add tr queue
-    end
+    let n = Trigger.Tbl.length seen in
+    Trigger.Tbl.replace seen key ();
+    if Trigger.Tbl.length seen > n then Queue.add tr queue
   in
   let enqueue tr = if run_wide then enqueue_new tr else Queue.add tr queue in
   (* Trigger discovery is canonicalised: the triggers found for one
@@ -183,7 +185,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
     Hom.iter_slots ?seed instance c.body ~slots (fun ids ->
         let d = ref 0 in
         for k = 0 to Array.length ids - 1 do
-          d := max !d !depths.(ids.(k))
+          d := max !d (depth ids.(k))
         done;
         acc := Trigger.make c (Array.copy slots) ~depth:(1 + !d) :: !acc);
     let found = Array.of_list !acc in
@@ -214,9 +216,10 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
   let found = Array.init (Array.length rules) discover_all_for_rule in
   Array.iter (Array.iter enqueue) found;
   Obs.span_end obs "seed";
-  (* Parents and the substitution are built only for a trigger that adds
-     a fact, or for [on_trigger]: most triggers of a closure re-derive a
-     known fact and allocate no more than the head atom they look up. *)
+  (* The facts an application adds get the ids [first .. last - 1] and
+     share one derivation record; a substitution is built only for
+     [on_trigger].  Most triggers of a closure re-derive a known fact and
+     allocate no more than the head atom they look up. *)
   let apply tr =
     let t_start = if tracked then Obs.now obs else 0. in
     let c_start = if tracked then Hom.Stats.candidates_now () else 0 in
@@ -228,52 +231,33 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
       Obs.span_begin obs
         ~args:[ ("step", Chase_obs.Jsonv.Int !triggers_applied) ]
         (rule_display i);
-    let vals, created = Trigger.extend c tr ~fresh:fresh_null in
+    let vals = Trigger.extend c tr ~fresh:fresh_null in
     let depth = tr.Trigger.depth in
     if depth > !max_depth then max_depth := depth;
-    let added = ref [] in
+    let first = Instance.cardinal instance in
     for k = 0 to Array.length c.head - 1 do
-      let fact = Template.instantiate vals c.head.(k) in
-      if Instance.add instance fact then begin
-        incr atoms_created;
-        set_depth (Instance.cardinal instance - 1) depth;
-        added := fact :: !added
-      end
+      ignore (Instance.add instance (Template.instantiate vals c.head.(k)))
     done;
-    let added = List.rev !added in
-    let hom =
-      if added = [] && on_trigger = None then Subst.empty else Trigger.to_subst c tr
-    in
-    if added <> [] then begin
-      let parents = Array.to_list (Array.map (Template.instantiate vals) c.body) in
-      let guard_parent = Option.map (List.nth parents) c.guard in
-      List.iter
-        (fun fact ->
-          Atom.Tbl.replace provenance fact
-            {
-              Derivation.rule = c.tgd;
-              hom;
-              parents;
-              guard_parent;
-              depth;
-              step = !triggers_applied;
-              created_nulls = created;
-            })
-        added
+    let last = Instance.cardinal instance in
+    if last > first then begin
+      atoms_created := !atoms_created + (last - first);
+      let d = { Derivation.rule = c; vals; depth; step = !triggers_applied } in
+      for id = first to last - 1 do
+        set_derivation id d
+      done
     end;
     (* Semi-naive trigger discovery: only homomorphisms using a new fact
        can be new.  Its cost is attributed to the rule whose output
        seeded it. *)
     let m0 = if tracked then Obs.now obs else 0. in
     Obs.span_begin obs "match";
-    let enq =
-      if List.compare_length_with added 1 > 0 then enqueue_new else enqueue
-    in
-    List.iter
-      (fun fact ->
-        List.iter (fun i -> Array.iter enq (discover ~seed:fact i)) (sweep fact))
-      added;
-    if (not run_wide) && added <> [] then Trigger.Tbl.reset seen;
+    let enq = if last - first > 1 then enqueue_new else enqueue in
+    for id = first to last - 1 do
+      List.iter
+        (fun i -> Array.iter enq (discover ~seed:id i))
+        (sweep (Instance.fact instance id))
+    done;
+    if (not run_wide) && last > first then Trigger.Tbl.reset seen;
     Obs.span_end obs "match";
     if tracked then
       prof_match.(i) <- prof_match.(i) +. (Obs.now obs -. m0);
@@ -287,7 +271,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
         ~null_rate:(fun () -> Watchdog.Window.rate null_window)
     | None -> ());
     if tracked then begin
-      prof_nulls.(i) <- prof_nulls.(i) + List.length created;
+      prof_nulls.(i) <- prof_nulls.(i) + Array.length vals - c.n_body;
       prof_probes.(i) <-
         prof_probes.(i) + (Hom.Stats.candidates_now () - c_start);
       prof_time.(i) <-
@@ -307,8 +291,9 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
     end;
     match on_trigger with
     | Some f ->
-      f ~step:!triggers_applied ~rule_index:i ~depth ~created_nulls:created
-        c.tgd hom added
+      f ~step:!triggers_applied ~rule_index:i ~depth
+        ~created_nulls:(Trigger.nulls c vals) c.tgd (Trigger.to_subst c vals)
+        (List.init (last - first) (fun k -> Instance.fact instance (first + k)))
     | None -> ()
   in
   let firing_table () =
@@ -406,7 +391,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
     elapsed = Limits.Monitor.elapsed monitor;
     rule_firings = firing_table ();
     queue_residual = Queue.length queue;
-    provenance;
+    derivations = !derivations;
   }
 
 (** [is_model rules ins]: every trigger on [ins] is satisfied — [ins]
@@ -428,53 +413,54 @@ let is_model rules ins =
 
 (** [check_provenance result ~db]: every fact of the partial instance is
     either a database fact or carries a derivation record that replays —
-    its parents are the recorded rule's body image under the recorded
-    homomorphism, all present in the instance and themselves derivable,
-    and the fact itself is reproduced by applying the rule head under the
-    homomorphism extended with the recorded fresh nulls.  This is the
-    soundness certificate of a degraded (limit-breached) run. *)
+    its parents (the body under its slots, so the body image by
+    construction) are present and database facts or derived, its
+    existential slots hold distinct nulls that occur in no parent, and the
+    head under its slots reproduces the fact.  This is the soundness
+    certificate of a degraded (limit-breached) run. *)
 let check_provenance result ~db =
   let dbt = Atom.Tbl.create 64 in
   List.iter (fun a -> Atom.Tbl.replace dbt a ()) db;
   let problem = ref None in
   let fail fmt = Fmt.kstr (fun s -> if !problem = None then problem := Some s) fmt in
+  let fresh vals parents k =
+    let old t = Term.equal vals.(k) t in
+    Term.is_null vals.(k)
+    && (not (List.exists (fun p -> Array.exists old (Atom.args p)) parents))
+    && not (Array.exists old (Array.sub vals 0 k))
+  in
   Instance.iter
     (fun a ->
       if (not (Atom.Tbl.mem dbt a)) && !problem = None then
-        match Atom.Tbl.find_opt result.provenance a with
+        match derivation result a with
         | None ->
           fail "fact %a is neither a database fact nor derived" Atom.pp a
         | Some d ->
-          List.iter
-            (fun p ->
-              if not (Instance.mem result.instance p) then
-                fail "parent %a of %a is missing from the instance" Atom.pp p
-                  Atom.pp a
-              else if
-                (not (Atom.Tbl.mem dbt p)) && not (Atom.Tbl.mem result.provenance p)
-              then fail "parent %a of %a is underived" Atom.pp p Atom.pp a)
-            d.Derivation.parents;
-          let body_image =
-            Subst.apply_atoms d.Derivation.hom (Tgd.body d.Derivation.rule)
-          in
-          if
-            List.length body_image <> List.length d.Derivation.parents
-            || not (List.for_all2 Atom.equal body_image d.Derivation.parents)
-          then fail "recorded parents of %a are not the body image" Atom.pp a;
-          let existentials =
-            Util.Sset.elements (Tgd.existentials d.Derivation.rule)
-          in
-          if List.length existentials <> List.length d.Derivation.created_nulls
-          then fail "null count mismatch in the derivation of %a" Atom.pp a
+          let c = d.Derivation.rule in
+          let n = Array.length c.Trigger.vars in
+          if Array.length d.Derivation.vals <> n then
+            fail "the derivation of %a binds %d slots, its rule has %d" Atom.pp a
+              (Array.length d.Derivation.vals) n
           else begin
-            let sub' =
-              List.fold_left2
-                (fun acc z id -> Subst.bind_exn acc z (Term.Null id))
-                d.Derivation.hom existentials d.Derivation.created_nulls
-            in
-            let heads = Subst.apply_atoms sub' (Tgd.head d.Derivation.rule) in
-            if not (List.exists (Atom.equal a) heads) then
-              fail "fact %a is not produced by its recorded trigger" Atom.pp a
+            let parents = Derivation.parents d in
+            List.iter
+              (fun p ->
+                if not (Instance.mem result.instance p) then
+                  fail "parent %a of %a is missing from the instance" Atom.pp p Atom.pp a
+                else if (not (Atom.Tbl.mem dbt p)) && derivation result p = None then
+                  fail "parent %a of %a is underived" Atom.pp p Atom.pp a)
+              parents;
+            for k = c.Trigger.n_body to n - 1 do
+              if not (fresh d.Derivation.vals parents k) then
+                fail "existential slot %s of the derivation of %a holds %a, not a fresh null"
+                  c.Trigger.vars.(k) Atom.pp a Term.pp d.Derivation.vals.(k)
+            done;
+            if
+              not
+                (Array.exists
+                   (fun h -> Atom.equal a (Template.instantiate d.Derivation.vals h))
+                   c.Trigger.head)
+            then fail "fact %a is not produced by its recorded trigger" Atom.pp a
           end)
     result.instance;
   match !problem with None -> Ok () | Some msg -> Error msg

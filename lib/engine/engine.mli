@@ -45,8 +45,10 @@ type result = {
   rule_firings : (string * int) list;
       (** per-rule trigger applications, descending *)
   queue_residual : int;  (** triggers left unprocessed at stop *)
-  provenance : Derivation.t Atom.Tbl.t;
-      (** derivation record for every fact created by the chase *)
+  derivations : Derivation.t option array;
+      (** the derivation record of each fact, by fact id ([None] for a
+          database fact); the facts one application added share one
+          record.  Read through {!derivation}. *)
 }
 
 val exhausted : result -> bool
@@ -98,6 +100,10 @@ val run :
     {!Chase_logic.Hom.set_matcher} does, the hook through which the
     differential tests run the naive reference. *)
 
+val derivation : result -> Atom.t -> Derivation.t option
+(** The derivation record of a fact created by the chase; [None] for a
+    database fact and for an atom not in the instance. *)
+
 val depth_of : result -> Atom.t -> int
 (** Chase depth of a fact; database facts have depth 0. *)
 
@@ -106,9 +112,10 @@ val is_model : Tgd.t list -> Instance.t -> bool
 
 val check_provenance : result -> db:Atom.t list -> (unit, string) Stdlib.result
 (** Soundness certificate of a (possibly degraded) run: every fact is a
-    database fact or carries a derivation record that replays — parents
-    are the body image under the recorded homomorphism, present and
-    themselves derivable, and the fact is reproduced by the rule head
-    under the homomorphism extended with the recorded fresh nulls. *)
+    database fact or carries a derivation record that replays — its
+    parents (the body under the recorded slots) are present and
+    themselves database facts or derived, its existential slots hold
+    distinct nulls that occur in no parent, and the rule head under the
+    slots reproduces the fact. *)
 
 val pp_result : Format.formatter -> result -> unit

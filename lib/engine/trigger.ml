@@ -55,17 +55,19 @@ module Tbl = Hashtbl.Make (struct
   let hash t = t.hash
 end)
 
-let bind c tr s i = Subst.bind_exn s c.vars.(i) tr.vals.(i)
-let to_subst c tr = Seq.fold_left (bind c tr) Subst.empty (Seq.init c.n_body Fun.id)
-let frontier_subst c tr = Array.fold_left (bind c tr) Subst.empty c.frontier
+let bind c vals s i = Subst.bind_exn s c.vars.(i) vals.(i)
+let to_subst c vals = Seq.fold_left (bind c vals) Subst.empty (Seq.init c.n_body Fun.id)
+let frontier_subst c tr = Array.fold_left (bind c tr.vals) Subst.empty c.frontier
 
 let extend c tr ~fresh =
-  (* [List.init] evaluates left to right: nulls in existential order *)
-  let created = List.init (Array.length c.vars - c.n_body) (fun _ -> fresh ()) in
-  if created = [] then (tr.vals, created)
-  else
-    let nulls = List.map (fun id -> Term.Null id) created in
-    (Array.append tr.vals (Array.of_list nulls), created)
+  let n = Array.length c.vars in
+  (* [Array.init] applies its function in index order: nulls in slot order *)
+  if n = c.n_body then tr.vals
+  else Array.init n (fun i -> if i < c.n_body then tr.vals.(i) else Term.Null (fresh ()))
+
+let nulls c vals =
+  List.init (Array.length vals - c.n_body) (fun k ->
+      match vals.(c.n_body + k) with Term.Null id -> id | _ -> invalid_arg "Trigger.nulls")
 
 let frontier_slots c tr =
   let slots = Array.make (Array.length c.vars) Chase_logic.Hom.unbound in

@@ -46,12 +46,18 @@ val equal : t -> t -> bool
 
 module Tbl : Hashtbl.S with type key = t
 
-val to_subst : rule -> t -> Subst.t
+val to_subst : rule -> Term.t array -> Subst.t
+(** The body variables' substitution, from a trigger's or an {!extend}ed
+    slot array. *)
+
 val frontier_subst : rule -> t -> Subst.t
 
-val extend : rule -> t -> fresh:(unit -> int) -> Term.t array * int list
-(** All slot values, one [fresh ()] null per existential in slot order, and
-    the stamps invented. *)
+val extend : rule -> t -> fresh:(unit -> int) -> Term.t array
+(** All slot values: the trigger's, then one [fresh ()] null per
+    existential in slot order. *)
+
+val nulls : rule -> Term.t array -> int list
+(** The stamps in the existential slots of an {!extend}ed slot array. *)
 
 val frontier_slots : rule -> t -> Term.t array
 (** A slot array over all of the rule's variables with the frontier

@@ -285,9 +285,8 @@ let run_all policy ?plan st emit =
    for each body atom [pin] that matches the seed, the pin is bound to it
    first and the rest of the body is searched, where a body atom left of
    the pin may not map onto the seed (a smaller pin produced that
-   binding). *)
-let run_seeded policy st ~seed emit =
-  let seed_id = Instance.id_of st.ins seed in
+   binding).  [seed_id] is the seed's fact id. *)
+let run_seeded policy st ~seed ~seed_id emit =
   let n = Array.length st.body in
   let planned = policy = Planned && Instance.cardinal st.ins >= plan_threshold in
   for pin = 0 to n - 1 do
@@ -318,7 +317,7 @@ let iter_slots ?seed ins body ~slots emit =
   in
   match seed with
   | None -> run_all !selected st emit
-  | Some seed -> run_seeded !selected st ~seed emit
+  | Some id -> run_seeded !selected st ~seed:(Instance.fact ins id) ~seed_id:id emit
 
 (* ------------------------------------------------------------------ *)
 (* Substitution entry points                                           *)
@@ -338,8 +337,11 @@ let via_subst core ?(init = Subst.empty) ins pats f =
 
 let iter_naive ?init ins = via_subst (run_all Naive) ?init ins
 let iter_planned ?init ?plan ins = via_subst (run_all Planned ?plan) ?init ins
-let iter_seeded_naive ?init ins pats ~seed = via_subst (run_seeded Naive ~seed) ?init ins pats
-let iter_seeded_planned ?init ins pats ~seed = via_subst (run_seeded Planned ~seed) ?init ins pats
+let seeded policy ?init ins pats ~seed =
+  via_subst (run_seeded policy ~seed ~seed_id:(Instance.id_of ins seed)) ?init ins pats
+
+let iter_seeded_naive = seeded Naive
+let iter_seeded_planned = seeded Planned
 
 let counted f s =
   incr Stats.matches;

@@ -73,7 +73,7 @@ val unbound : Term.t
     physical ([==]). *)
 
 val iter_slots :
-  ?seed:Atom.t ->
+  ?seed:int ->
   Instance.t ->
   Template.t array ->
   slots:Term.t array ->
@@ -85,8 +85,8 @@ val iter_slots :
     fact body atom [i] matched (both are reused: copy what you keep).
     Slots bound on entry stay as they are; the slots the search binds
     are {!unbound} again when it returns.
-    With [seed], only bindings that map some body atom onto the seed,
-    each once.  Dispatches on {!matcher} and counts each call of [k] as
+    With [seed], a fact id, only bindings that map some body atom onto
+    that fact, each once.  Dispatches on {!matcher} and counts each call of [k] as
     a match.  If [k] raises, [slots] is left as it was at the raise. *)
 
 val exists_slots : Instance.t -> Template.t array -> slots:Term.t array -> bool

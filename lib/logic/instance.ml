@@ -4,7 +4,8 @@
     enumerating candidate atoms for body matching, so besides the
     membership table each predicate keeps a bucket of its facts and one
     [Term.hash]-keyed table per argument position, used to narrow matching
-    when a body atom already has a bound argument.  Every fact gets a dense
+    when a body atom already has a bound argument (and no table by term
+    alone: {!atoms_containing} reads these).  Every fact gets a dense
     id when it is added (0, 1, … in insertion order); buckets are growable
     arrays of ids that the matcher walks newest first, and a position
     table's size is its number of distinct terms, so the join planner's
@@ -26,7 +27,6 @@ type t = {
   all : int Atom.Tbl.t;  (** membership: fact → id *)
   mutable by_id : Atom.t array;  (** id → fact; [size] are in use *)
   by_pred : (string, pred_index) Hashtbl.t;
-  by_term : bucket Term_tbl.t;
   mutable size : int;
 }
 
@@ -37,7 +37,6 @@ let create ?(initial_capacity = 256) () =
     all = Atom.Tbl.create initial_capacity;
     by_id = Array.make (max 1 initial_capacity) dummy;
     by_pred = Hashtbl.create 32;
-    by_term = Term_tbl.create initial_capacity;
     size = 0;
   }
 
@@ -92,13 +91,7 @@ let add ins a =
       pi.at_pos <-
         Array.append pi.at_pos (Array.init grow (fun _ -> Term_tbl.create 16));
     push pi.facts id;
-    Array.iteri
-      (fun i t ->
-        push_at pi.at_pos.(i) t id;
-        (* once per distinct term: at its first position only *)
-        let rec first j = j = i || ((not (Term.equal args.(j) t)) && first (j + 1)) in
-        if first 0 then push_at ins.by_term t id)
-      args;
+    Array.iteri (fun i t -> push_at pi.at_pos.(i) t id) args;
     true
   end
 
@@ -139,8 +132,12 @@ let atoms_of_pred ins p = atoms_of_bucket ins (pred_bucket ins p)
     argument is exactly the term [t]. *)
 let atoms_matching ins p i t = atoms_of_bucket ins (matching_bucket ins p i t)
 
-(** [atoms_containing ins t] are the atoms in which term [t] occurs. *)
-let atoms_containing ins t = atoms_of_bucket ins (lookup ins.by_term t)
+(** [atoms_containing ins t] are the atoms in which term [t] occurs: the
+    union of [t]'s positional buckets, newest first. *)
+let atoms_containing ins t =
+  let add acc tbl = let b = lookup tbl t in List.init b.n (Array.get b.ids) @ acc in
+  let ids = Hashtbl.fold (fun _ pi acc -> Array.fold_left add acc pi.at_pos) ins.by_pred [] in
+  List.map (fact ins) (List.sort_uniq (fun i j -> Int.compare j i) ids)
 
 (* ---- O(1) cardinality accessors (the planner's statistics) ---- *)
 

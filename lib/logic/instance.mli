@@ -2,10 +2,9 @@
 
     Every fact gets a dense id when it is added: 0, 1, … in insertion
     order.  Besides the membership table the representation keeps a
-    per-predicate bucket, a per-(predicate, position, term) index used to
-    narrow body matching, and a per-term index used by the guarded cloud
-    computation.  Buckets hold fact ids; every list they are read into is
-    newest first. *)
+    per-predicate bucket and a per-(predicate, position, term) index used
+    to narrow body matching; there is no index by term alone.  Buckets
+    hold fact ids; every list they are read into is newest first. *)
 
 type t
 
@@ -33,6 +32,8 @@ val atoms_matching : t -> string -> int -> Term.t -> Atom.t list
 (** Facts of the predicate whose [i]-th argument is exactly the term. *)
 
 val atoms_containing : t -> Term.t -> Atom.t list
+(** Facts in which the term occurs, newest first (one positional index
+    lookup per predicate and position). *)
 
 (** {1 Buckets of fact ids}
 

@@ -115,32 +115,25 @@ type pump = {
 }
 
 (** The guard chain of [a]: a, guard parent of a, … up to a database fact. *)
-let guard_chain provenance a =
+let guard_chain result a =
   let rec up acc a =
-    match Atom.Tbl.find_opt provenance a with
+    match Option.bind (Engine.derivation result a) Derivation.guard_parent with
+    | Some g -> up (a :: acc) g
     | None -> a :: acc
-    | Some d -> (
-      match d.Derivation.guard_parent with
-      | Some g -> up (a :: acc) g
-      | None -> a :: acc)
   in
   up [] a  (* root first *)
 
-(** Step at which each null was created, from the provenance records. *)
-let null_birth provenance =
+(** Step at which each null was created, from the derivation records. *)
+let null_birth (result : Engine.result) =
   let tbl = Hashtbl.create 1024 in
-  Atom.Tbl.iter
-    (fun _ d ->
-      List.iter
-        (fun n -> Hashtbl.replace tbl n d.Derivation.step)
-        d.Derivation.created_nulls)
-    provenance;
+  Array.iter
+    (Option.iter (fun d ->
+         List.iter (fun n -> Hashtbl.replace tbl n (Derivation.step d)) (Derivation.created_nulls d)))
+    result.Engine.derivations;
   tbl
 
-let step_of provenance a =
-  match Atom.Tbl.find_opt provenance a with
-  | Some d -> d.Derivation.step
-  | None -> 0
+let step_of result a =
+  match Engine.derivation result a with Some d -> Derivation.step d | None -> 0
 
 (** [has_young_null births since a]: some argument of [a] is a null born
     strictly after step [since]. *)
@@ -158,7 +151,7 @@ let has_young_null births since a =
 (** Search one root-to-leaf chain for [min_occurrences] facts of equal
     type such that between consecutive occurrences every chain fact
     carries a null younger than the previous occurrence. *)
-let pump_on_chain ins ~const_atoms ~births ~provenance ~min_occurrences chain =
+let pump_on_chain ins ~const_atoms ~births ~result ~min_occurrences chain =
   (* Group chain positions by type. *)
   let types = List.map (fun a -> (a, type_of ins ~const_atoms a)) chain in
   let module M = Map.Make (struct
@@ -182,7 +175,7 @@ let pump_on_chain ins ~const_atoms ~births ~provenance ~min_occurrences chain =
     (* every chain fact strictly after [a] up to [b] has a null younger
        than [a]'s creation step *)
     let ia = index_of a and ib = index_of b in
-    let since = step_of provenance chain_arr.(ia) in
+    let since = step_of result chain_arr.(ia) in
     let ok = ref true in
     for i = ia + 1 to ib do
       if not (has_young_null births since chain_arr.(i)) then ok := false
@@ -208,9 +201,14 @@ let pump_on_chain ins ~const_atoms ~births ~provenance ~min_occurrences chain =
     groups None
 
 (** Deepest facts of the run, used as chain tips. *)
-let deepest_facts provenance k =
+let deepest_facts (result : Engine.result) k =
   let all =
-    Atom.Tbl.fold (fun a d acc -> (Derivation.depth d, a) :: acc) provenance []
+    Instance.fold
+      (fun a acc ->
+        match Engine.derivation result a with
+        | Some d -> (Derivation.depth d, a) :: acc
+        | None -> acc)
+      result.Engine.instance []
   in
   let sorted = List.sort (fun (d1, _) (d2, _) -> Int.compare d2 d1) all in
   List.filteri (fun i _ -> i < k) sorted |> List.map snd
@@ -219,29 +217,28 @@ let find_pump ?(min_occurrences = 3) ?(tips = 8)
     ?(obs = Chase_obs.Obs.disabled) (result : Engine.result) =
   let module Obs = Chase_obs.Obs in
   let ins = result.Engine.instance in
-  let provenance = result.Engine.provenance in
   let const_atoms =
     Instance.fold
       (fun a acc -> if Atom.is_ground a then a :: acc else acc)
       ins []
   in
-  let births = null_birth provenance in
+  let births = null_birth result in
   let rec try_tips = function
     | [] -> None
     | tip :: rest -> (
-      let chain = guard_chain provenance tip in
+      let chain = guard_chain result tip in
       if Obs.enabled obs then begin
         Obs.incr obs "guarded.pump.chains";
         Obs.incr obs ~by:(List.length chain) "guarded.pump.nodes"
       end;
       match
-        pump_on_chain ins ~const_atoms ~births ~provenance ~min_occurrences
+        pump_on_chain ins ~const_atoms ~births ~result ~min_occurrences
           chain
       with
       | Some p -> Some p
       | None -> try_tips rest)
   in
-  try_tips (deepest_facts provenance tips)
+  try_tips (deepest_facts result tips)
 
 (* ------------------------------------------------------------------ *)
 (* The checker                                                         *)

@@ -119,19 +119,20 @@ let test_provenance_parents_and_guard () =
   let rules = parse "r(X, Y), m(Y) -> s(Y, Z)." in
   let result = chase rules (parse_facts "r(a, b). m(b).") in
   let s_fact = List.hd (Instance.atoms_of_pred result.Engine.instance "s") in
-  match Atom.Tbl.find_opt result.Engine.provenance s_fact with
+  match Engine.derivation result s_fact with
   | None -> Alcotest.fail "no provenance record"
   | Some d ->
     Alcotest.(check int) "two parents" 2 (List.length (Derivation.parents d));
-    (match d.Derivation.guard_parent with
+    (match Derivation.guard_parent d with
     | Some g -> Alcotest.(check string) "guard image is r" "r" (Atom.pred g)
     | None -> Alcotest.fail "expected guard image");
-    Alcotest.(check int) "one null created" 1 (List.length d.Derivation.created_nulls)
+    Alcotest.(check int) "one null created" 1 (List.length (Derivation.created_nulls d))
 
 (* Derivation records are built only for facts that are actually new;
    each must still be exact: it replays, its guard image is the
    [Classify.guard_of] image under its homomorphism, and the hook sees the
-   very homomorphism recorded for the facts the step created. *)
+   very homomorphism and nulls recorded for the facts the step created,
+   which share one physical record (two facts per w1 step). *)
 let test_derivations_exact () =
   let sets =
     [
@@ -150,9 +151,8 @@ let test_derivations_exact () =
         (fun variant ->
           let ctx = Fmt.str "%s/%a" name Variant.pp variant in
           let hooked = ref [] in
-          let on_trigger ~step ~rule_index:_ ~depth:_ ~created_nulls:_ _ hom
-              added =
-            hooked := (step, hom, added) :: !hooked
+          let on_trigger ~step ~rule_index:_ ~depth:_ ~created_nulls _ hom added =
+            hooked := (step, hom, created_nulls, added) :: !hooked
           in
           let result =
             Engine.run
@@ -164,34 +164,148 @@ let test_derivations_exact () =
           | Error msg -> Alcotest.failf "%s: %s" ctx msg);
           Alcotest.(check bool) (ctx ^ ": budget reached") true
             (result.Engine.triggers_applied = 2_000);
-          Atom.Tbl.iter
-            (fun a d ->
-              let want =
-                Option.map
-                  (Subst.apply_atom d.Derivation.hom)
-                  (Classify.guard_of d.Derivation.rule)
-              in
-              if not (Option.equal Atom.equal want d.Derivation.guard_parent)
-              then Alcotest.failf "%s: wrong guard parent of %a" ctx Atom.pp a)
-            result.Engine.provenance;
+          Instance.iter
+            (fun a ->
+              Option.iter
+                (fun d ->
+                  let want =
+                    Option.map
+                      (Subst.apply_atom (Derivation.hom d))
+                      (Classify.guard_of (Derivation.rule d))
+                  in
+                  if not (Option.equal Atom.equal want (Derivation.guard_parent d))
+                  then Alcotest.failf "%s: wrong guard parent of %a" ctx Atom.pp a)
+                (Engine.derivation result a))
+            result.Engine.instance;
           List.iter
-            (fun (step, hom, added) ->
+            (fun (step, hom, created, added) ->
+              let first = Option.bind (List.nth_opt added 0) (Engine.derivation result) in
               List.iter
                 (fun a ->
-                  match Atom.Tbl.find_opt result.Engine.provenance a with
-                  | Some d
-                    when d.Derivation.step = step
-                         && Subst.equal hom d.Derivation.hom -> ()
-                  | Some _ | None ->
-                    Alcotest.failf "%s: step %d's hook hom is not the record of %a"
+                  match (Engine.derivation result a, first) with
+                  | Some d, Some d0
+                    when d == d0
+                         && Derivation.step d = step
+                         && Subst.equal hom (Derivation.hom d)
+                         && Derivation.created_nulls d = created -> ()
+                  | _ ->
+                    Alcotest.failf "%s: step %d's hook is not the shared record of %a"
                       ctx step Atom.pp a)
                 added)
             !hooked;
           Alcotest.(check int) (ctx ^ ": every created fact seen by the hook")
             result.Engine.atoms_created
-            (List.fold_left (fun n (_, _, added) -> n + List.length added) 0 !hooked))
+            (List.fold_left (fun n (_, _, _, added) -> n + List.length added) 0 !hooked);
+          Alcotest.(check bool) (ctx ^ ": no record for a database fact") true
+            (Engine.derivation result (List.hd db) = None);
+          Alcotest.(check bool) (ctx ^ ": no record for an absent atom") true
+            (Engine.derivation result (fact "p(absent, absent)") = None))
         [ Variant.Oblivious; Variant.Semi_oblivious; Variant.Restricted ])
     sets
+
+(* The growth path: budget runs over crit(Σ) that invent a null per
+   trigger, as Decide's guarded and simulation procedures run them.  The
+   counts and an MD5 of the sorted instance were taken before derivation
+   records became one shared slot record per application and before the
+   per-term index was removed; the instance must not move. *)
+let w1 = "w1: p(X, Y), q(Y, Z) -> p(Y, W), q(W, X)."
+
+let test_growth_path_pinned () =
+  List.iter
+    (fun (name, rules, variant, facts, depth, digest) ->
+      let db = Instance.to_list (Critical.of_rules ~standard:true rules) in
+      let r = chase ~variant ~budget:20_000 rules db in
+      let ctx what = Fmt.str "%s/%a: %s" name Variant.pp variant what in
+      Alcotest.(check int) (ctx "triggers") 20_000 r.Engine.triggers_applied;
+      Alcotest.(check int) (ctx "facts") facts (Instance.cardinal r.Engine.instance);
+      Alcotest.(check int) (ctx "nulls") 20_000 r.Engine.nulls_created;
+      Alcotest.(check int) (ctx "max depth") depth r.Engine.max_depth;
+      (match Engine.check_provenance r ~db with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s" (ctx msg));
+      Alcotest.(check string) (ctx "instance") digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n"
+                 (List.map (Fmt.to_to_string Atom.pp) (Instance.to_sorted_list r.Engine.instance))))))
+    [
+      ("w1", parse w1, Variant.Oblivious, 40_018, 741, "8544e85c070ffbcae0db7b3bf01ff26c");
+      ("w1", parse w1, Variant.Semi_oblivious, 40_018, 2_223, "9936f60c754acf3a1708c2270824ae5c");
+      ( "guarded-divergent-3",
+        Families.guarded_divergent ~arity:3,
+        Variant.Oblivious,
+        40_030,
+        741,
+        "4cea34b9aef81ee315ac9fdc2fb9099c" );
+      ( "guarded-divergent-3",
+        Families.guarded_divergent ~arity:3,
+        Variant.Semi_oblivious,
+        40_030,
+        2_223,
+        "2e60e6841dc03885bcad69ce1544cf5a" );
+    ]
+
+(* The provenance checker rejects a hand-built record that breaks any one
+   of its checks.  Parents are read off the same slots as the
+   homomorphism, so they are the body image by construction; what can
+   break is a missing record, a missing or underived parent, a slot
+   array of the wrong length, an existential slot that holds no fresh
+   null, and a head that does not reproduce the fact. *)
+let test_check_provenance_rejects () =
+  let null n = Term.Null n and c s = Term.Const s in
+  let z = Trigger.compile 0 (parse_rule "z: p(X, Y) -> q(Y, Z).") in
+  let z2 = Trigger.compile 0 (parse_rule "z2: p(X, Y) -> q(Y, Z, W).") in
+  let q args = Atom.of_list "q" args in
+  let record rule vals = Some { Derivation.rule; vals = Array.of_list vals; depth = 1; step = 1 } in
+  (* the instance [db] plus [derived], each fact with the record given *)
+  let hand_built db derived =
+    let r = Engine.run [] db in
+    List.iter (fun (a, _) -> ignore (Instance.add r.Engine.instance a)) derived;
+    let derivations = Array.make (Instance.cardinal r.Engine.instance) None in
+    List.iter (fun (a, d) -> derivations.(Instance.id_of r.Engine.instance a) <- d) derived;
+    Engine.check_provenance { r with Engine.derivations } ~db
+  in
+  let p_ab = parse_facts "p(a, b)." in
+  let q_b1 = q [ c "b"; null 1 ] in
+  (match hand_built p_ab [ (q_b1, record z [ c "a"; c "b"; null 1 ]) ] with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "a sound record is rejected: %s" msg);
+  List.iter
+    (fun (what, db, derived, wants) ->
+      match hand_built db derived with
+      | Ok () -> Alcotest.failf "%s: accepted" what
+      | Error msg ->
+        if not (List.exists (contains msg) wants) then
+          Alcotest.failf "%s: wrong complaint: %s" what msg)
+    [
+      ("no record", p_ab, [ (q_b1, None) ], [ "neither a database fact nor derived" ]);
+      ( "missing parent",
+        p_ab,
+        [ (q_b1, record z [ c "c"; c "b"; null 1 ]) ],
+        [ "missing from the instance" ] );
+      (* an underived parent is itself a fact with no record *)
+      ( "underived parent",
+        p_ab,
+        [ (fact "p(c, b)", None); (q_b1, record z [ c "c"; c "b"; null 1 ]) ],
+        [ "is underived"; "neither a database fact nor derived" ] );
+      ("short slot array", p_ab, [ (q_b1, record z [ c "a"; c "b" ]) ], [ "binds 2 slots" ]);
+      ( "null of a parent",
+        [ Atom.of_list "p" [ null 1; c "b" ] ],
+        [ (q_b1, record z [ null 1; c "b"; null 1 ]) ],
+        [ "not a fresh null" ] );
+      ( "constant in an existential slot",
+        p_ab,
+        [ (q [ c "b"; c "c" ], record z [ c "a"; c "b"; c "c" ]) ],
+        [ "not a fresh null" ] );
+      ( "one null for two existentials",
+        p_ab,
+        [ (q [ c "b"; null 1; null 1 ], record z2 [ c "a"; c "b"; null 1; null 1 ]) ],
+        [ "not a fresh null" ] );
+      ( "head does not reproduce",
+        p_ab,
+        [ (q_b1, record z [ c "a"; c "b"; null 2 ]) ],
+        [ "not produced by its recorded trigger" ] );
+    ]
 
 (* The matcher counters are plain refs.  The service runs chases on
    worker systhreads of one domain, which never switch inside an
@@ -586,4 +700,8 @@ let suite =
       test_critical_includes_rule_constants;
     Alcotest.test_case "critical instance size guard" `Quick test_critical_size_guard;
     critical_absorbs_databases;
+    Alcotest.test_case "growth path: budget runs on crit(Σ) pinned (o, so)" `Quick
+      test_growth_path_pinned;
+    Alcotest.test_case "provenance check rejects each broken record" `Quick
+      test_check_provenance_rejects;
   ]

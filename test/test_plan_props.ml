@@ -233,6 +233,7 @@ let core_equals_reference () =
       in
       let want = collect (reference ~init ins body) in
       let want_seeded = collect (reference ~init ~seed:seed_fact ins body) in
+      let seed_id = Instance.id_of ins seed_fact in
       List.iter
         (fun (what, want, got) ->
           Alcotest.(check (list subst_testable)) (Fmt.str "seed %d: %s" seed what) want
@@ -248,10 +249,10 @@ let core_equals_reference () =
             Hom.iter_seeded_planned ~init ins body ~seed:seed_fact );
           ( "slots seeded naive",
             want_seeded,
-            with_matcher Hom.Naive (via_slots ~seed:seed_fact) );
+            with_matcher Hom.Naive (via_slots ~seed:seed_id) );
           ( "slots seeded planned",
             want_seeded,
-            with_matcher Hom.Planned (via_slots ~seed:seed_fact) );
+            with_matcher Hom.Planned (via_slots ~seed:seed_id) );
         ])
 
 (* The dispatching entry points follow the forced matcher. *)
@@ -311,7 +312,7 @@ let slot_order_is_subst_order =
       let key = Trigger.key Variant.Semi_oblivious c in
       List.for_all
         (fun (s, t) ->
-          Subst.equal (Trigger.to_subst c t) s
+          Subst.equal (Trigger.to_subst c t.Trigger.vals) s
           && Subst.equal (Trigger.frontier_subst c t) (frontier s)
           && List.for_all
                (fun (s', t') ->
@@ -324,7 +325,7 @@ let slot_order_is_subst_order =
         pairs
       && List.equal Subst.equal
            (List.sort Subst.compare subs)
-           (List.map (Trigger.to_subst c) (List.sort Trigger.compare trs)))
+           (List.map (fun t -> Trigger.to_subst c t.Trigger.vals) (List.sort Trigger.compare trs)))
 
 (* ------------------------------------------------------------------ *)
 (* Instance indexes against a brute-force recount                      *)

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Compare the chase benchmark between a base revision and the working tree.
 
-    python3 tools/bench_compare.py --base REV --workload NAME
+    python3 tools/bench_compare.py --base REV --workload NAME|all
 
 Run from the root of a chase checkout (``make bench-compare BASE=REV
 WORKLOAD=NAME`` does).  The run length and the end-to-end metrics, with
-their directions and bounds, come from ``BENCHMARK.json``.  Three steps:
+their directions and bounds, come from ``BENCHMARK.json``; ``all`` runs
+steps 2 and 3 for each of its workloads in turn over the one base
+build.  Three steps:
 
 1. Check out REV into a git worktree under ``_build/bench-compare/`` and
    build it there; perfbench/run.py builds each side from its own sources.
@@ -14,8 +16,8 @@ their directions and bounds, come from ``BENCHMARK.json``.  Three steps:
    exact work counts must agree: ``engine.triggers``, every ``hom.*``
    count, ``guarded.triggers``, ``simulation.triggers`` and
    ``journal.bytes``.  A difference means the two sides do different
-   work, so their times are not comparable: the compare stops with exit
-   status 1.  ``decide.unknown`` and ``gc.minor_words_per_trigger`` are
+   work, so their times are not comparable: that workload's pairs are
+   skipped and the exit status is 1.  ``decide.unknown`` and ``gc.minor_words_per_trigger`` are
    printed beside them, ungated.
 3. Ten untraced pairs at the benchmark's run length, pair k on seed k,
    the side that runs first alternating; each run's end-to-end metrics
@@ -33,8 +35,8 @@ their directions and bounds, come from ``BENCHMARK.json``.  Three steps:
      base's by more than the bound (relative to the base's median);
    - "within bound" otherwise.
 
-Exit status: 0 when the work counts agree, 1 when they differ, 2 on a
-usage, build or run error.
+Exit status: 0 when the work counts agree on every workload compared, 1
+when they differ on any, 2 on a usage, build or run error.
 """
 
 import argparse
@@ -135,56 +137,74 @@ def verdict(metric, base, head):
     return wins, losses, said
 
 
+def compare(workload, sides, seconds, metrics):
+    """Steps 2 and 3 for one workload; False when the work counts differ."""
+    traced = {name: perfbench(d, workload, 1, TRACE_SECONDS, True)
+              for name, d in sides.items()}
+    gated = sorted(k for k in traced["base"] if k in EXACT or k.startswith("hom."))
+    differ = [k for k in gated if traced["base"][k] != traced["head"].get(k)]
+    for k in gated + INFO:
+        print("  %-28s base %-14.6g head %-14.6g%s" %
+              (k, traced["base"].get(k, float("nan")),
+               traced["head"].get(k, float("nan")),
+               "  DIFFERS" if k in differ else ""))
+    if differ:
+        print("bench-compare: %s: work counts differ (%s): times are not comparable"
+              % (workload, ", ".join(differ)))
+        return False
+    samples = {s: {m["name"]: [] for m in metrics} for s in sides}
+    for k in range(PAIRS):
+        order = ["base", "head"] if k % 2 == 0 else ["head", "base"]
+        for s in order:
+            got = perfbench(sides[s], workload, k + 1, seconds, False)
+            for m in metrics:
+                samples[s][m["name"]].append(got[m["name"]])
+            print("  pair %d seed %d %s: %s" % (
+                k + 1, k + 1, s,
+                " ".join("%s=%.4g" % (m["name"], got[m["name"]]) for m in metrics)),
+                  flush=True)
+    print("  %d alternating pairs, seeds 1-%d, %gs each" % (PAIRS, PAIRS, seconds))
+    for m in metrics:
+        base, head = samples["base"][m["name"]], samples["head"][m["name"]]
+        b1, bm, b3 = quartiles(base)
+        h1, hm, h3 = quartiles(head)
+        wins, losses, said = verdict(m, base, head)
+        print("  %-14s base %.4g [%.4g, %.4g]  head %.4g [%.4g, %.4g]"
+              "  head won %d, lost %d of %d: %s"
+              % (m["name"], bm, b1, b3, hm, h1, h3, wins, losses, PAIRS, said))
+    return True
+
+
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="a workload name, or all")
     args = ap.parse_args(argv)
     if not os.path.exists(os.path.join("perfbench", "run.py")):
         die("run from the root of a chase checkout")
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
-    if args.workload not in [w["name"] for w in bench["workloads"]]:
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload == "all":
+        workloads = names
+    elif args.workload in names:
+        workloads = [args.workload]
+    else:
         die("unknown workload %s" % args.workload)
     seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
     sha, base_dir = checkout(args.base)
     sides = {"base": base_dir, "head": "."}
     try:
-        print("bench-compare: %s at %s vs the working tree" % (args.workload, sha[:12]))
-        traced = {name: perfbench(d, args.workload, 1, TRACE_SECONDS, True)
-                  for name, d in sides.items()}
-        gated = sorted(k for k in traced["base"] if k in EXACT or k.startswith("hom."))
-        differ = [k for k in gated if traced["base"][k] != traced["head"].get(k)]
-        for k in gated + INFO:
-            print("  %-28s base %-14.6g head %-14.6g%s" %
-                  (k, traced["base"].get(k, float("nan")),
-                   traced["head"].get(k, float("nan")),
-                   "  DIFFERS" if k in differ else ""))
+        differ = []
+        for workload in workloads:
+            print("bench-compare: %s at %s vs the working tree" % (workload, sha[:12]),
+                  flush=True)
+            if not compare(workload, sides, seconds, metrics):
+                differ.append(workload)
         if differ:
-            print("bench-compare: work counts differ (%s): times are not comparable"
-                  % ", ".join(differ))
+            print("bench-compare: work counts differ on %s" % ", ".join(differ))
             return 1
-        samples = {s: {m["name"]: [] for m in metrics} for s in sides}
-        for k in range(PAIRS):
-            order = ["base", "head"] if k % 2 == 0 else ["head", "base"]
-            for s in order:
-                got = perfbench(sides[s], args.workload, k + 1, seconds, False)
-                for m in metrics:
-                    samples[s][m["name"]].append(got[m["name"]])
-                print("  pair %d seed %d %s: %s" % (
-                    k + 1, k + 1, s,
-                    " ".join("%s=%.4g" % (m["name"], got[m["name"]]) for m in metrics)),
-                      flush=True)
-        print("  %d alternating pairs, seeds 1-%d, %gs each" % (PAIRS, PAIRS, seconds))
-        for m in metrics:
-            base, head = samples["base"][m["name"]], samples["head"][m["name"]]
-            b1, bm, b3 = quartiles(base)
-            h1, hm, h3 = quartiles(head)
-            wins, losses, said = verdict(m, base, head)
-            print("  %-14s base %.4g [%.4g, %.4g]  head %.4g [%.4g, %.4g]"
-                  "  head won %d, lost %d of %d: %s"
-                  % (m["name"], bm, b1, b3, hm, h1, h3, wins, losses, PAIRS, said))
         return 0
     finally:
         remove(base_dir)
