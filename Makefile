@@ -6,8 +6,8 @@
 # naive reference matcher is compared with the planned one by the
 # differential tests inside `make test`, not by a rerun of the suite.
 
-.PHONY: all build test smoke obs-smoke soak soak-failover lint fmt fmt-ml check clean \
-  bench-compare
+.PHONY: all build test test-list smoke obs-smoke soak soak-failover lint fmt fmt-ml \
+  check clean bench-compare
 
 all: build
 
@@ -17,6 +17,13 @@ build:
 # full suite: unit + property tests and the cram CLI suite
 test:
 	dune runtest
+
+# every Alcotest case as "suite  case name", sorted, without the case
+# indexes and the qcheck seed line: diff two revisions' lists to show
+# that no test case disappeared
+test-list:
+	@dune exec test/test_main.exe -- list --color=never \
+	  | sed -n -E 's/^([^ ]+) +[0-9]+ +(.*)\.$$/\1  \2/p' | LC_ALL=C sort
 
 # quick confidence: the CLI cram suite only (builds both binaries,
 # exercises parsing, the chase, limits/timeout degradation and reports)

@@ -271,22 +271,45 @@ let pp_certificate rules fm cert =
     (Util.pp_list "" (fun fm tr -> Fmt.pf fm "%a@ " pp_step tr))
     cert.cycle
 
-(* --- concrete confirmation ---------------------------------------- *)
+(* --- concrete replay ---------------------------------------------- *)
 
-(** Replay [cycle] from a concrete instantiation of [start] for [laps]
-    laps with real fresh nulls, and check that after the first lap every
-    step stays productive: new atoms for the oblivious chase, new frontier
-    keys for the semi-oblivious chase.  Returns [true] when the pump is
-    confirmed; a confirmed pump is a sound witness of non-termination (a
-    new atom/key each step can never be exhausted). *)
-let confirm ~semi rules ~start ~cycle ~laps =
-  let rules_arr = Array.of_list rules in
+(** A concrete replay of pattern steps with real fresh nulls: the start
+    pattern instantiated, and the step function — match [tr]'s single
+    body atom on a fact, bind a fresh null per existential, and build the
+    head atom [tr] produces, returned with the rule and the realizing
+    substitution.  [None] when the body does not match the fact. *)
+let replay rules start =
+  let rules = Array.of_list rules in
   let counter = ref 0 in
   let fresh_null () =
     incr counter;
     Term.Null !counter
   in
-  let atom = ref (Pattern.instantiate ~fresh_null start) in
+  let start_fact = Pattern.instantiate ~fresh_null start in
+  let step tr fact =
+    let r = rules.(tr.rule_idx) in
+    let body_atom = match Tgd.body r with [ a ] -> a | _ -> assert false in
+    Option.map
+      (fun sub ->
+        let sub =
+          Util.Sset.fold
+            (fun z acc -> Subst.bind_exn acc z (fresh_null ()))
+            (Tgd.existentials r) sub
+        in
+        (r, sub, Subst.apply_atom sub (List.nth (Tgd.head r) tr.head_idx)))
+      (Hom.match_atom Subst.empty body_atom fact)
+  in
+  (start_fact, step)
+
+(** Replay [cycle] from a concrete instantiation of [start] for [laps]
+    laps, and check that after the first lap every step stays productive:
+    new atoms for the oblivious chase, new frontier keys for the
+    semi-oblivious chase.  Returns [true] when the pump is confirmed; a
+    confirmed pump is a sound witness of non-termination (a new atom/key
+    each step can never be exhausted). *)
+let confirm ~semi rules ~start ~cycle ~laps =
+  let start_fact, step = replay rules start in
+  let atom = ref start_fact in
   let seen_atoms = Atom.Tbl.create 64 in
   let seen_keys = Hashtbl.create 64 in
   Atom.Tbl.replace seen_atoms !atom ();
@@ -295,35 +318,20 @@ let confirm ~semi rules ~start ~cycle ~laps =
     if !ok then
       List.iter
         (fun tr ->
-          if !ok then begin
-            let r = rules_arr.(tr.rule_idx) in
-            let body_atom =
-              match Tgd.body r with [ a ] -> a | _ -> assert false
-            in
-            match Hom.match_atom Subst.empty body_atom !atom with
+          if !ok then
+            match step tr !atom with
             | None -> ok := false (* should not happen: patterns matched *)
-            | Some sub ->
+            | Some (r, sub, produced) ->
               let frontier_key =
-                ( tr.rule_idx,
-                  Subst.to_list (Subst.restrict sub (Tgd.frontier r)) )
+                (tr.rule_idx, Subst.to_list (Subst.restrict sub (Tgd.frontier r)))
               in
               let key_new = not (Hashtbl.mem seen_keys frontier_key) in
               Hashtbl.replace seen_keys frontier_key ();
-              let sub' =
-                Util.Sset.fold
-                  (fun z acc -> Subst.bind_exn acc z (fresh_null ()))
-                  (Tgd.existentials r) sub
-              in
-              let produced = Subst.apply_atom sub' (List.nth (Tgd.head r) tr.head_idx) in
               let atom_new = not (Atom.Tbl.mem seen_atoms produced) in
               Atom.Tbl.replace seen_atoms produced ();
-              if lap >= 2 then
-                if semi then begin
-                  if not key_new then ok := false
-                end
-                else if not atom_new then ok := false;
-              atom := produced
-          end)
+              if lap >= 2 && not (if semi then key_new else atom_new) then
+                ok := false;
+              atom := produced)
         cycle
   done;
   !ok && Pattern.equal (Pattern.of_atom !atom) start
@@ -346,32 +354,16 @@ type realization = {
     of a confirmed cycle matches by construction; a step that fails to
     match (an unconfirmed, hand-built certificate) is skipped. *)
 let realize rules cert =
-  let rules_arr = Array.of_list rules in
-  let counter = ref 0 in
-  let fresh_null () =
-    incr counter;
-    Term.Null !counter
-  in
-  let start_fact = Pattern.instantiate ~fresh_null cert.start in
+  let start_fact, step = replay rules cert.start in
   let atom = ref start_fact in
   let facts = ref [ start_fact ] in
   let first_subst = ref None in
   List.iter
     (fun tr ->
-      let r = rules_arr.(tr.rule_idx) in
-      let body_atom = match Tgd.body r with [ a ] -> a | _ -> assert false in
-      match Hom.match_atom Subst.empty body_atom !atom with
+      match step tr !atom with
       | None -> ()
-      | Some sub ->
-        let sub' =
-          Util.Sset.fold
-            (fun z acc -> Subst.bind_exn acc z (fresh_null ()))
-            (Tgd.existentials r) sub
-        in
-        if Option.is_none !first_subst then first_subst := Some sub';
-        let produced =
-          Subst.apply_atom sub' (List.nth (Tgd.head r) tr.head_idx)
-        in
+      | Some (_, sub, produced) ->
+        if Option.is_none !first_subst then first_subst := Some sub;
         facts := produced :: !facts;
         atom := produced)
     cert.cycle;
@@ -607,32 +599,22 @@ let default_constants ~standard rules =
    cross-check against the ground truth — the actual ?-chase of the
    critical instance — and degrade honestly to [Inconclusive] if that
    chase does not close within the sanity budget. *)
-let sanity_terminates ~variant ~constants ~budget rules =
-  let crit =
-    Chase_engine.Critical.of_rules ~constants rules
-  in
-  let config =
-    {
-      Chase_engine.Engine.variant;
-      limits = Chase_engine.Limits.of_budget budget;
-    }
-  in
-  let r =
-    Chase_engine.Engine.run ~config rules
-      (Chase_logic.Instance.to_list crit)
-  in
-  r.Chase_engine.Engine.status = Chase_engine.Engine.Terminated
+let sanity_budget = 50_000
 
-let check_with ~variant ~semi ~find ?(standard = true) ?(sanity_budget = 50_000)
-    rules =
-  ignore semi;
+let sanity_terminates ~variant ~constants rules =
+  let open Chase_engine in
+  let crit = Critical.of_rules ~constants rules in
+  let config = { Engine.variant; limits = Limits.of_budget sanity_budget } in
+  (Engine.run ~config rules (Instance.to_list crit)).Engine.status = Engine.Terminated
+
+let check_with ~variant ~find ?(standard = true) rules =
   require_linear rules;
   let constants = default_constants ~standard rules in
   let reachable = reachable_patterns ~constants rules in
   match find rules reachable with
   | Some cert -> Non_terminating cert
   | None ->
-    if sanity_terminates ~variant ~constants ~budget:sanity_budget rules then
+    if sanity_terminates ~variant ~constants rules then
       Terminating
     else
       Inconclusive
@@ -643,23 +625,12 @@ let check_with ~variant ~semi ~find ?(standard = true) ?(sanity_budget = 50_000)
 
 (** Critical rich acyclicity: oblivious-chase termination for linear TGDs
     (reconstruction of Theorem 2, oblivious side). *)
-let check_oblivious ?standard ?sanity_budget rules =
-  check_with ~variant:Chase_engine.Variant.Oblivious ~semi:false
-    ~find:find_oblivious_pump ?standard ?sanity_budget rules
+let check_oblivious ?standard rules =
+  check_with ~variant:Chase_engine.Variant.Oblivious ~find:find_oblivious_pump
+    ?standard rules
 
 (** Critical weak acyclicity: semi-oblivious-chase termination for linear
     TGDs (reconstruction of Theorem 2, semi-oblivious side). *)
-let check_semi_oblivious ?standard ?sanity_budget rules =
-  check_with ~variant:Chase_engine.Variant.Semi_oblivious ~semi:true
-    ~find:find_semi_oblivious_pump ?standard ?sanity_budget rules
-
-let terminates ?standard ~variant rules =
-  match (variant : Chase_engine.Variant.t) with
-  | Oblivious -> ( match check_oblivious ?standard rules with
-    | Terminating -> true
-    | Non_terminating _ | Inconclusive _ -> false)
-  | Semi_oblivious -> ( match check_semi_oblivious ?standard rules with
-    | Terminating -> true
-    | Non_terminating _ | Inconclusive _ -> false)
-  | Restricted ->
-    invalid_arg "Critical_linear: restricted chase is not handled here"
+let check_semi_oblivious ?standard rules =
+  check_with ~variant:Chase_engine.Variant.Semi_oblivious
+    ~find:find_semi_oblivious_pump ?standard rules

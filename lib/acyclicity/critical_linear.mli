@@ -82,18 +82,14 @@ type verdict =
           shape on this input (reported honestly instead of answering
           "terminating") *)
 
-val check_oblivious : ?standard:bool -> ?sanity_budget:int -> Tgd.t list -> verdict
+val check_oblivious : ?standard:bool -> Tgd.t list -> verdict
 (** Critical rich acyclicity — oblivious-chase termination for linear
     TGDs.  [standard] (default true) includes the constants 0, 1.
     Divergence answers carry a concretely confirmed pump; termination
     answers are cross-checked against the actual chase of the critical
-    instance (budget [sanity_budget], default 50_000).
+    instance (budget 50,000 triggers).
     @raise Invalid_argument if the set is not linear. *)
 
-val check_semi_oblivious :
-  ?standard:bool -> ?sanity_budget:int -> Tgd.t list -> verdict
+val check_semi_oblivious : ?standard:bool -> Tgd.t list -> verdict
 (** Critical weak acyclicity — semi-oblivious-chase termination for
     linear TGDs. *)
-
-val terminates : ?standard:bool -> variant:Chase_engine.Variant.t -> Tgd.t list -> bool
-(** @raise Invalid_argument for the restricted variant. *)

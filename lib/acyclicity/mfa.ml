@@ -10,23 +10,26 @@
     exist for any database, so the semi-oblivious chase terminates
     universally:  WA ⊆ JA ⊆ MFA ⊆ CT^so.
 
-    Instead of materializing skolem terms we run our own engine on the
-    critical instance and annotate every null with the {e set} of function
-    symbols occurring in its term tree: the union of the symbol sets of
-    the frontier nulls it was built from, plus its own creating symbol
-    (rule index, existential variable).  A null is cyclic exactly when its
-    creating symbol already occurs among its ancestors' symbols.
+    The semi-oblivious chase is the skolem chase (Grahne & Onet, "Anatomy
+    of the chase"), so the chase we run is the engine's own
+    semi-oblivious run of the critical instance.  Instead of materializing
+    skolem terms, an [on_trigger] hook annotates every null with the
+    {e set} of function symbols occurring in its term tree: the union of
+    the symbol sets of the frontier nulls it was built from, plus its own
+    creating symbol (rule index, existential variable).  A null is cyclic
+    exactly when its creating symbol already occurs among its ancestors'
+    symbols.
 
-    Checking MFA is itself 2EXPTIME-complete; the chase we run is the
-    definition's chase, but we keep a trigger budget as an engineering
-    safeguard and report [`Unknown] if it is ever hit. *)
+    Checking MFA is itself 2EXPTIME-complete; we keep a trigger budget as
+    an engineering safeguard and report [`Unknown] if it is ever hit. *)
 
 open Chase_logic
+open Chase_engine
 
 type answer =
   [ `Mfa  (** the critical chase completed with no cyclic term *)
   | `Not_mfa of string  (** a cyclic functional term, pretty-printed *)
-  | `Unknown of string  (** budget exhausted (not observed in practice) *)
+  | `Unknown of string  (** budget exhausted *)
   ]
 
 module Sym_set = Set.Make (struct
@@ -35,94 +38,64 @@ module Sym_set = Set.Make (struct
   let compare = compare
 end)
 
-let default_budget = 100_000
+type watch = {
+  symbols : (int, Sym_set.t) Hashtbl.t;  (** by null stamp *)
+  mutable cyclic : string option;
+}
 
-let check ?(standard = false) ?(budget = default_budget) rules =
-  let rules_arr = Array.of_list rules in
-  let crit = Chase_engine.Critical.of_rules ~standard rules in
-  let instance = Instance.create () in
-  Instance.iter (fun a -> ignore (Instance.add instance a)) crit;
-  (* symbol sets of nulls *)
-  let symbols_of_null : (int, Sym_set.t) Hashtbl.t = Hashtbl.create 256 in
-  let null_counter = ref 0 in
-  let seen = Hashtbl.create 1024 in
-  let queue = Queue.create () in
-  let cyclic = ref None in
-  let triggers = ref 0 in
-  let key rule_idx sub =
-    (rule_idx, Subst.to_list (Subst.restrict sub (Tgd.frontier rules_arr.(rule_idx))))
-  in
-  let enqueue rule_idx sub =
-    let k = key rule_idx sub in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      Queue.add (rule_idx, sub) queue
-    end
-  in
-  let enqueue_all_for i =
-    Hom.iter instance (Tgd.body rules_arr.(i)) (fun sub -> enqueue i sub)
-  in
-  let enqueue_seeded_for i seed =
-    Hom.iter_seeded instance (Tgd.body rules_arr.(i)) ~seed (fun sub ->
-        enqueue i sub)
-  in
-  Array.iteri (fun i _ -> enqueue_all_for i) rules_arr;
-  let inherited_symbols sub frontier =
+let watch () = { symbols = Hashtbl.create 256; cyclic = None }
+let first_cyclic w = w.cyclic
+
+(* The engine hands over the nulls an application invented in slot order,
+   which is existential-name order ([Trigger.compile]). *)
+let observe w ~step:_ ~rule_index ~depth:_ ~created_nulls r sub _added =
+  let inherited =
     Util.Sset.fold
       (fun v acc ->
         match Subst.find_opt v sub with
         | Some (Term.Null n) -> (
-          match Hashtbl.find_opt symbols_of_null n with
+          match Hashtbl.find_opt w.symbols n with
           | Some s -> Sym_set.union s acc
           | None -> acc)
         | Some (Term.Const _) | Some (Term.Var _) | None -> acc)
-      frontier Sym_set.empty
+      (Tgd.frontier r) Sym_set.empty
   in
-  let apply rule_idx sub =
-    incr triggers;
-    let r = rules_arr.(rule_idx) in
-    let inherited = inherited_symbols sub (Tgd.frontier r) in
-    let sub' = ref sub in
-    Util.Sset.iter
-      (fun z ->
-        let sym = (rule_idx, z) in
-        if Sym_set.mem sym inherited && !cyclic = None then
-          cyclic :=
-            Some
-              (Fmt.str
-                 "cyclic term: f_(%s,%s) nested within itself under trigger %a \
-                  of rule %a"
-                 (Tgd.name r) z Subst.pp sub Tgd.pp r);
-        incr null_counter;
-        let n = !null_counter in
-        Hashtbl.replace symbols_of_null n (Sym_set.add sym inherited);
-        sub' := Subst.bind_exn !sub' z (Term.Null n))
-      (Tgd.existentials r);
-    if !cyclic = None then begin
-      let new_atoms =
-        List.filter_map
-          (fun head_atom ->
-            let fact = Subst.apply_atom !sub' head_atom in
-            if Instance.add instance fact then Some fact else None)
-          (Tgd.head r)
-      in
-      List.iter
-        (fun fact -> Array.iteri (fun i _ -> enqueue_seeded_for i fact) rules_arr)
-        new_atoms
-    end
+  List.iter2
+    (fun z n ->
+      let sym = (rule_index, z) in
+      if Sym_set.mem sym inherited && w.cyclic = None then
+        w.cyclic <-
+          Some
+            (Fmt.str
+               "cyclic term: f_(%s,%s) nested within itself under trigger %a \
+                of rule %a"
+               (Tgd.name r) z Subst.pp sub Tgd.pp r);
+      Hashtbl.replace w.symbols n (Sym_set.add sym inherited))
+    (Util.Sset.elements (Tgd.existentials r))
+    created_nulls
+
+let default_budget = 100_000
+
+exception Cyclic
+
+let check ?(standard = false) ?(budget = default_budget) rules =
+  let w = watch () in
+  let on_trigger ~step ~rule_index ~depth ~created_nulls r sub added =
+    observe w ~step ~rule_index ~depth ~created_nulls r sub added;
+    if w.cyclic <> None then raise_notrace Cyclic
   in
-  let rec loop () =
-    if !cyclic <> None then `Not_mfa (Option.get !cyclic)
-    else if Queue.is_empty queue then `Mfa
-    else if !triggers >= budget then
-      `Unknown (Fmt.str "MFA chase budget of %d triggers exhausted" budget)
-    else begin
-      let rule_idx, sub = Queue.pop queue in
-      apply rule_idx sub;
-      loop ()
-    end
+  let config =
+    {
+      Engine.variant = Variant.Semi_oblivious;
+      limits = Limits.make ~max_triggers:budget ();
+    }
   in
-  loop ()
+  let crit = Instance.to_list (Critical.of_rules ~standard rules) in
+  match Engine.run ~config ~on_trigger rules crit with
+  | exception Cyclic -> `Not_mfa (Option.get w.cyclic)
+  | { Engine.status = Engine.Terminated; _ } -> `Mfa
+  | { Engine.status = Engine.Exhausted _; _ } ->
+    `Unknown (Fmt.str "MFA chase budget of %d triggers exhausted" budget)
 
 let is_mfa ?standard ?budget rules =
   match check ?standard ?budget rules with

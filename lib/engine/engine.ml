@@ -28,9 +28,6 @@ type config = {
 
 let default_config = { variant = Variant.Oblivious; limits = Limits.default }
 
-let config_of_budget ?(variant = Variant.Oblivious) budget =
-  { variant; limits = Limits.of_budget budget }
-
 type status =
   | Terminated  (** no unapplied trigger remains: the chase result is final *)
   | Exhausted of Limits.Exhaustion.reason
@@ -99,7 +96,7 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
   let compiled = Array.mapi Trigger.compile rules in
   (* The delta sweep visits only the rules whose bodies mention the added
      fact's predicate, in ascending index order.  Any other rule has no
-     body atom the fact could be pinned to, so [Hom.iter_seeded] would
+     body atom the fact could be pinned to, so a seeded search would
      yield nothing for it. *)
   let rules_by_pred = Hashtbl.create 64 in
   for i = Array.length rules - 1 downto 0 do

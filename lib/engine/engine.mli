@@ -24,9 +24,6 @@ type config = {
 val default_config : config
 (** Oblivious, with {!Limits.default} (100k triggers, 200k facts). *)
 
-val config_of_budget : ?variant:Variant.t -> int -> config
-(** The historical coupling: budget triggers, [4 ×] budget atoms. *)
-
 type status =
   | Terminated  (** no unapplied trigger remains: the result is final *)
   | Exhausted of Limits.Exhaustion.reason

@@ -88,7 +88,6 @@ let make ?max_triggers ?max_atoms ?max_nulls ?max_depth ?timeout ?cancel
   }
 
 let default = make ~max_triggers:100_000 ~max_atoms:200_000 ()
-let unlimited = make ()
 
 (** The historical coupling: a trigger budget of [b] with an atom budget
     of [4 * b]. *)

@@ -63,8 +63,6 @@ val default : t
 (** 100k triggers, 200k facts — the historical engine defaults.  Copy
     before mutating. *)
 
-val unlimited : t
-
 val of_budget : int -> t
 (** [of_budget b]: the historical coupling — [b] triggers, [4 * b]
     atoms. *)

@@ -18,7 +18,7 @@
     every substitution entry point is a wrapper that compiles its atoms,
     binds [?init] into the slots and builds a substitution per emitted
     binding.  The dispatching entry points ({!iter_slots}, {!iter},
-    {!iter_seeded}, {!all}, {!exists}, {!find}) follow the process-wide
+    {!all}, {!exists}) follow the process-wide
     {!matcher} selection: planned unless {!set_matcher} selected the
     naive reference. *)
 
@@ -58,7 +58,7 @@ module Stats = struct
     probes : int;  (** index probes at a determined position *)
     full_scans : int;  (** predicate scans with no position bound *)
     candidates : int;  (** candidate facts examined by match loops *)
-    matches : int;  (** substitutions emitted by [iter]/[iter_seeded] *)
+    matches : int;  (** bindings emitted by the dispatching entry points *)
     planned_probe_cost : int;
         (** sum of chosen bucket sizes in best-index probes *)
     naive_probe_cost : int;
@@ -93,14 +93,6 @@ module Stats = struct
       planned_probe_cost = b.planned_probe_cost - a.planned_probe_cost;
       naive_probe_cost = b.naive_probe_cost - a.naive_probe_cost;
     }
-
-  let reset () =
-    List.iter
-      (fun c -> c := 0)
-      [
-        probes; full_scans; candidates; matches; planned_probe_cost;
-        naive_probe_cost;
-      ]
 
   let candidates_now () = !candidates
 end
@@ -354,15 +346,8 @@ let iter ?init ins pats f =
   | Planned -> iter_planned ?init ins pats (counted f)
   | Naive -> iter_naive ?init ins pats (counted f)
 
-(** [iter_seeded ?init ins pats ~seed f] is like [iter] but only yields
-    substitutions in which at least one body atom is mapped to the fact
-    [seed].  Each qualifying substitution is produced exactly once. *)
-let iter_seeded ?init ins pats ~seed f =
-  match matcher () with
-  | Planned -> iter_seeded_planned ?init ins pats ~seed (counted f)
-  | Naive -> iter_seeded_naive ?init ins pats ~seed (counted f)
-
 exception Stop
+exception Found of Subst.t
 
 let all ?init ins pats =
   let acc = ref [] in
@@ -381,12 +366,6 @@ let exists_slots ins body ~slots =
     false
   with Stop -> true
 
-(** [find ?init ins pats] is the first substitution found, if any. *)
-let find ?init ins pats =
-  let res = ref None in
-  (try iter ?init ins pats (fun s -> res := Some s; raise Stop) with Stop -> ());
-  !res
-
 (** [instance_hom src dst] searches for a homomorphism from instance [src]
     to instance [dst]: a map on terms that is the identity on constants,
     maps nulls anywhere, and sends every fact of [src] to a fact of [dst].
@@ -401,9 +380,9 @@ let instance_hom src dst =
       a
   in
   let pats = List.map as_pattern (Instance.to_list src) in
-  match find dst pats with
-  | None -> None
-  | Some sub ->
+  match iter dst pats (fun s -> raise (Found s)) with
+  | () -> None
+  | exception Found sub ->
     let null_of_var v =
       if String.length v > 5 && String.equal (String.sub v 0 5) "!null" then
         int_of_string_opt (String.sub v 5 (String.length v - 5))

@@ -33,7 +33,7 @@ module Stats : sig
     probes : int;  (** index probes at a determined position *)
     full_scans : int;  (** predicate scans with no position bound *)
     candidates : int;  (** candidate facts examined by match loops *)
-    matches : int;  (** substitutions emitted by [iter]/[iter_seeded] *)
+    matches : int;  (** bindings emitted by the dispatching entry points *)
     planned_probe_cost : int;
         (** sum of chosen bucket sizes in best-index probes *)
     naive_probe_cost : int;
@@ -45,8 +45,6 @@ module Stats : sig
 
   val diff : snapshot -> snapshot -> snapshot
   (** [diff before after], componentwise. *)
-
-  val reset : unit -> unit
 
   val candidates_now : unit -> int
   (** The raw candidates counter — the engine's cheap per-trigger
@@ -98,15 +96,8 @@ val iter : ?init:Subst.t -> Instance.t -> Atom.t list -> (Subst.t -> unit) -> un
 (** Call the continuation on every substitution mapping all atoms into
     the instance. *)
 
-val iter_seeded :
-  ?init:Subst.t -> Instance.t -> Atom.t list -> seed:Atom.t -> (Subst.t -> unit) -> unit
-(** Like {!iter} but only substitutions mapping at least one atom onto
-    [seed] — the semi-naive primitive of the chase engine.  Each
-    qualifying substitution is produced exactly once. *)
-
 val all : ?init:Subst.t -> Instance.t -> Atom.t list -> Subst.t list
 val exists : ?init:Subst.t -> Instance.t -> Atom.t list -> bool
-val find : ?init:Subst.t -> Instance.t -> Atom.t list -> Subst.t option
 
 (** {1 The individual matchers}
 
@@ -120,6 +111,8 @@ val iter_naive :
 
 val iter_seeded_naive :
   ?init:Subst.t -> Instance.t -> Atom.t list -> seed:Atom.t -> (Subst.t -> unit) -> unit
+(** Only the substitutions mapping at least one atom onto the fact
+    [seed], each once: {!iter_slots} [~seed] over substitutions. *)
 
 val iter_planned :
   ?init:Subst.t ->

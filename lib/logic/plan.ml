@@ -36,10 +36,6 @@ module Stats = struct
 
   let diff (a : snapshot) (b : snapshot) =
     { plans = b.plans - a.plans; estimates = b.estimates - a.estimates }
-
-  let reset () =
-    plans := 0;
-    estimates := 0
 end
 
 let order t = t.order

@@ -25,7 +25,6 @@ module Stats : sig
 
   val snapshot : unit -> snapshot
   val diff : snapshot -> snapshot -> snapshot
-  val reset : unit -> unit
 end
 
 val of_templates :

@@ -148,10 +148,15 @@ let has_young_null births since a =
       | Term.Const _ | Term.Var _ -> false)
     (Atom.args a)
 
+(* A pump is [min_occurrences] same-type facts on one of the guard chains
+   ending at the [tips] deepest facts. *)
+let min_occurrences = 3
+let tips = 8
+
 (** Search one root-to-leaf chain for [min_occurrences] facts of equal
     type such that between consecutive occurrences every chain fact
     carries a null younger than the previous occurrence. *)
-let pump_on_chain ins ~const_atoms ~births ~result ~min_occurrences chain =
+let pump_on_chain ins ~const_atoms ~births ~result chain =
   (* Group chain positions by type. *)
   let types = List.map (fun a -> (a, type_of ins ~const_atoms a)) chain in
   let module M = Map.Make (struct
@@ -213,8 +218,7 @@ let deepest_facts (result : Engine.result) k =
   let sorted = List.sort (fun (d1, _) (d2, _) -> Int.compare d2 d1) all in
   List.filteri (fun i _ -> i < k) sorted |> List.map snd
 
-let find_pump ?(min_occurrences = 3) ?(tips = 8)
-    ?(obs = Chase_obs.Obs.disabled) (result : Engine.result) =
+let find_pump ?(obs = Chase_obs.Obs.disabled) (result : Engine.result) =
   let module Obs = Chase_obs.Obs in
   let ins = result.Engine.instance in
   let const_atoms =
@@ -231,10 +235,7 @@ let find_pump ?(min_occurrences = 3) ?(tips = 8)
         Obs.incr obs "guarded.pump.chains";
         Obs.incr obs ~by:(List.length chain) "guarded.pump.nodes"
       end;
-      match
-        pump_on_chain ins ~const_atoms ~births ~result ~min_occurrences
-          chain
-      with
+      match pump_on_chain ins ~const_atoms ~births ~result chain with
       | Some p -> Some p
       | None -> try_tips rest)
   in

@@ -18,14 +18,10 @@ type pump = {
   chain_length : int;
 }
 
-val find_pump :
-  ?min_occurrences:int ->
-  ?tips:int ->
-  ?obs:Chase_obs.Obs.t ->
-  Engine.result ->
-  pump option
-(** Search the derivation forest of a chase run for a recurring-type pump
-    along the guard chains of the deepest facts.  [obs] counts chains
+val find_pump : ?obs:Chase_obs.Obs.t -> Engine.result -> pump option
+(** Search the derivation forest of a chase run for a recurring-type pump:
+    three same-type facts along the guard chain of one of the eight
+    deepest facts.  [obs] counts chains
     examined and chain nodes walked ([guarded.pump.chains/nodes]). *)
 
 val check :

@@ -16,7 +16,8 @@ type acyclicity = {
   jointly_acyclic : bool;
   super_weakly_acyclic : bool;
   stratified : bool;  (** every may-trigger stratum weakly acyclic *)
-  mfa : bool option;  (** [None] when the MFA chase hit its budget *)
+  mfa : bool option;
+      (** [None] when the critical run was exhausted before a cyclic term *)
 }
 
 type chase_stats = {
@@ -36,7 +37,8 @@ type t = {
   oblivious : Verdict.t;
   semi_oblivious : Verdict.t;
   restricted : Verdict.t;
-  critical_run : chase_stats;  (** semi-oblivious chase of crit, budgeted *)
+  critical_run : chase_stats;
+      (** semi-oblivious chase of crit, budgeted: the run MFA watched *)
 }
 
 let stats_of (r : Engine.result) =
@@ -49,6 +51,16 @@ let stats_of (r : Engine.result) =
   }
 
 let build ?(budget = 20_000) rules =
+  (* One semi-oblivious chase of crit(Σ) gives both the MFA row and the
+     critical-instance line: MFA watches the run for a cyclic term. *)
+  let watch = Mfa.watch () in
+  let run =
+    let crit = Critical.of_rules rules in
+    let config =
+      { Engine.variant = Variant.Semi_oblivious; limits = Limits.of_budget budget }
+    in
+    Engine.run ~config ~on_trigger:(Mfa.observe watch) rules (Instance.to_list crit)
+  in
   let acyclicity =
     {
       richly_acyclic = Rich.is_richly_acyclic rules;
@@ -57,19 +69,13 @@ let build ?(budget = 20_000) rules =
       super_weakly_acyclic = Super_weak.is_super_weakly_acyclic rules;
       stratified = Chase_strata.Strata.is_safe rules;
       mfa =
-        (match Mfa.check ~budget rules with
-        | `Mfa -> Some true
-        | `Not_mfa _ -> Some false
-        | `Unknown _ -> None);
+        (match (Mfa.first_cyclic watch, run.Engine.status) with
+        | Some _, _ -> Some false
+        | None, Engine.Terminated -> Some true
+        | None, Engine.Exhausted _ -> None);
     }
   in
-  let critical_run =
-    let crit = Critical.of_rules rules in
-    let config =
-      { Engine.variant = Variant.Semi_oblivious; limits = Limits.of_budget budget }
-    in
-    stats_of (Engine.run ~config rules (Instance.to_list crit))
-  in
+  let critical_run = stats_of run in
   {
     rules;
     cls = Classify.classify rules;

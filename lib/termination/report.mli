@@ -13,7 +13,9 @@ type acyclicity = {
   jointly_acyclic : bool;
   super_weakly_acyclic : bool;  (** Marnette's super-weak acyclicity *)
   stratified : bool;  (** every may-trigger stratum weakly acyclic *)
-  mfa : bool option;  (** [None] when the MFA chase hit its budget *)
+  mfa : bool option;
+      (** MFA on the critical run below; [None] when that run was exhausted
+          before a cyclic term appeared *)
 }
 
 type chase_stats = {
@@ -34,6 +36,7 @@ type t = {
   semi_oblivious : Verdict.t;
   restricted : Verdict.t;
   critical_run : chase_stats;
+      (** the budgeted semi-oblivious chase of crit(Σ), run once *)
 }
 
 val build : ?budget:int -> Tgd.t list -> t

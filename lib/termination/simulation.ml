@@ -7,9 +7,7 @@
     nothing by itself — [check] then answers [Unknown], carrying the
     structured exhaustion diagnostics (which limit, the dominant rule, the
     recent null-growth rate) so the caller can tell a slow-but-converging
-    run from one diverging so far — and the experiment harness treats a
-    generous exhausted budget as presumed divergence when comparing
-    against the exact procedures.
+    run from one diverging so far.
 
     For the restricted chase the critical-instance reduction is {e not}
     sound in general (a restricted chase may terminate on the critical
@@ -66,12 +64,3 @@ let check ?(standard = true) ?(budget = default_budget) ?limits ?watchdog ?obs
              (Limits.Exhaustion.diagnosis reason))
   in
   { verdict; result }
-
-(** Budget-exhaustion treated as presumed divergence; used as the ground
-    truth oracle in agreement experiments, where the exact procedures are
-    being validated. *)
-let presume ?standard ?budget ~variant rules =
-  let { verdict; _ } = check ?standard ?budget ~variant rules in
-  match Verdict.answer verdict with
-  | Verdict.Terminates -> true
-  | Verdict.Diverges | Verdict.Unknown -> false

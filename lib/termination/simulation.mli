@@ -27,8 +27,3 @@ val check :
     wall-clock deadline or a cancellation token); [watchdog] streams
     progress snapshots of the simulation run; [obs] flows into the
     simulation's {!Engine.run}. *)
-
-val presume :
-  ?standard:bool -> ?budget:int -> variant:Variant.t -> Chase_logic.Tgd.t list -> bool
-(** Budget exhaustion treated as presumed divergence — the ground-truth
-    convention of the agreement experiments. *)

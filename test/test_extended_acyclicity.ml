@@ -96,6 +96,32 @@ let test_mfa_incomplete_witness () =
     (Verdict.is_terminating
        (Linear.check ~standard:false ~variant:Variant.Semi_oblivious rules))
 
+(* MFA's answer class at budget 2,000 on the shipped rule-only programs,
+   the named families and 100 seeds of each random generator: 'y' MFA,
+   'n' a cyclic term, '?' budget exhausted.  Pinned so that a change of
+   how the critical chase is run cannot move a verdict unseen. *)
+let mfa_class rules =
+  match Mfa.check ~budget:2_000 rules with
+  | `Mfa -> 'y'
+  | `Not_mfa _ -> 'n'
+  | `Unknown _ -> '?'
+
+let test_mfa_classes_pinned () =
+  List.iter
+    (fun (file, want) ->
+      Alcotest.(check char) file want (mfa_class (parse (read_data file))))
+    [ ("divergent_zoo.chase", 'n'); ("genealogy.chase", 'n'); ("university.chase", 'y') ];
+  Alcotest.(check string) "Families.catalogue" "nnyyynyynnnyyny"
+    (String.of_seq (List.to_seq (List.map (fun (_, r) -> mfa_class r) Families.catalogue)));
+  Alcotest.(check char) "sl_chain 400" '?' (mfa_class (Families.sl_chain 400));
+  let seeds gen = String.init 100 (fun seed -> mfa_class (gen ~seed ())) in
+  Alcotest.(check string) "Random_tgds.linear 0-99"
+    "ynynynynyyyyyyynyyyynyyyynynyyyynynyyynnynnnyyyyynynnnnnnyyynyyyyyynyyyynynyyynnyynyynynyyyyyynyyyyy"
+    (seeds (fun ~seed () -> Random_tgds.linear ~seed ()));
+  Alcotest.(check string) "Random_tgds.guarded 0-99"
+    "nnynynyyynnyyynnnynynynyyynynyyynnnynynyynnynnnynyynnnyyynnyynnnyyyynyynnyyynynnnyynynynnynnnyyyynny"
+    (seeds (fun ~seed () -> Random_tgds.guarded ~seed ()))
+
 (* ---------------- restricted checker ---------------- *)
 
 let answer rules = Verdict.answer (Restricted.check rules)
@@ -167,6 +193,8 @@ let suite =
     mfa_sound;
     Alcotest.test_case "MFA incomplete on linear (witness)" `Quick
       test_mfa_incomplete_witness;
+    Alcotest.test_case "MFA answer classes pinned (budget 2,000)" `Quick
+      test_mfa_classes_pinned;
     Alcotest.test_case "restricted: two-head separator unknown" `Quick
       test_restricted_separator_terminates;
     Alcotest.test_case "restricted: divergence witnessed" `Quick

@@ -532,7 +532,17 @@ let test_failover_soak () =
               | Ok _ | Error _ -> ())
             ())
     in
-    Thread.delay (0.004 +. (0.006 *. float_of_int (cycle mod 5)));
+    (if cycle = 0 then begin
+       (* the first kill waits (at most 2 s) for one acknowledgement, so a
+          loaded host cannot leave every cycle without one; the other
+          requests are still in flight when it lands *)
+       let deadline = Unix.gettimeofday () +. 2.0 in
+       let none_acked () = Mutex.protect mu (fun () -> !acked = []) in
+       while none_acked () && Unix.gettimeofday () < deadline do
+         Thread.delay 0.001
+       done
+     end
+     else Thread.delay (0.004 +. (0.006 *. float_of_int (cycle mod 5))));
     Server.kill server;
     Server.wait server;
     incr kills;

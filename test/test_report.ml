@@ -64,10 +64,28 @@ let test_report_pp () =
   Alcotest.(check bool) "mentions class" true (contains_sub s "simple-linear");
   Alcotest.(check bool) "mentions verdicts" true (contains_sub s "diverges")
 
+(* The report's MFA row comes from its own critical run, which MFA
+   watches; at the same budget it gives Mfa.check's answer. *)
+let test_report_mfa_row () =
+  List.iter
+    (fun (name, rules) ->
+      let want =
+        match Mfa.check ~budget:2_000 rules with
+        | `Mfa -> Some true
+        | `Not_mfa _ -> Some false
+        | `Unknown _ -> None
+      in
+      Alcotest.(check (option bool)) name want
+        (Report.build ~budget:2_000 rules).Report.acyclicity.Report.mfa)
+    (("sl-chain-400", Families.sl_chain 400)
+    :: ("genealogy", parse (read_data "genealogy.chase"))
+    :: Families.catalogue)
+
 let suite =
   [
     Alcotest.test_case "report on the separator" `Quick test_report_separator;
     Alcotest.test_case "report on the MFA witness" `Quick test_report_mfa_witness;
     test_report_consistency_random;
     Alcotest.test_case "report pretty-prints" `Quick test_report_pp;
+    Alcotest.test_case "report's MFA row = Mfa.check" `Quick test_report_mfa_row;
   ]
