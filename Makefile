@@ -6,8 +6,8 @@
 # naive reference matcher is compared with the planned one by the
 # differential tests inside `make test`, not by a rerun of the suite.
 
-.PHONY: all build test test-list smoke obs-smoke soak soak-failover lint fmt fmt-ml \
-  check clean bench-compare
+.PHONY: all build test test-list loc smoke obs-smoke soak soak-failover lint fmt \
+  fmt-ml check clean bench-compare
 
 all: build
 
@@ -24,6 +24,13 @@ test:
 test-list:
 	@dune exec test/test_main.exe -- list --color=never \
 	  | sed -n -E 's/^([^ ]+) +[0-9]+ +(.*)\.$$/\1  \2/p' | LC_ALL=C sort
+
+# line counts of the *.ml, *.mli and *.t files git lists: the program
+# (lib/ and bin/), then its tests (test/ and cram/)
+LOC_FILES = '$(1)/*.ml' '$(1)/*.mli' '$(1)/*.t' '$(2)/*.ml' '$(2)/*.mli' '$(2)/*.t'
+loc:
+	@echo "lib/ + bin/:   $$(git ls-files -z $(call LOC_FILES,lib,bin) | xargs -0 cat | wc -l)"
+	@echo "test/ + cram/: $$(git ls-files -z $(call LOC_FILES,test,cram) | xargs -0 cat | wc -l)"
 
 # quick confidence: the CLI cram suite only (builds both binaries,
 # exercises parsing, the chase, limits/timeout degradation and reports)

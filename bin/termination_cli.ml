@@ -5,12 +5,13 @@
     library ({!Chase.Decide}).  Exit status: 0 terminates, 2 diverges,
     3 unknown.
 
-    [--timeout] bounds the budgeted procedures (guarded search, generic
-    probe, chase simulation) by wall clock as well; when a limit is
-    breached the [unknown] verdict carries the structured exhaustion
-    diagnostics, distinguishing "slow but possibly converging" from
-    "diverging so far" by the recent null-growth rate.  [--progress]
-    streams watchdog snapshots of the simulation fallback on stderr.
+    [--timeout] bounds the budgeted chase (the critical-instance chase of
+    the linear, guarded and unguarded procedures, or the restricted
+    generic probe) by wall clock as well; when a limit is breached the
+    [unknown] verdict carries the structured exhaustion diagnostics,
+    distinguishing "slow but possibly converging" from "diverging so far"
+    by the recent null-growth rate.  [--progress] streams watchdog
+    snapshots of that chase on stderr.
 
     The decision is observable on request: [--trace FILE] writes a
     Chrome trace-event file of the procedure spans ([decide:<proc>],
@@ -72,7 +73,10 @@ let variant_arg =
 let budget_arg =
   Arg.(value & opt int 50_000
        & info [ "b"; "budget" ] ~docv:"N"
-           ~doc:"Trigger budget for the simulation fallback.")
+           ~doc:"Trigger budget of the critical-instance chase that \
+                 settles linear, guarded and unguarded sets (and of the \
+                 restricted generic-instance probe); the atom budget is \
+                 four times as large.")
 
 let standard_arg =
   Arg.(value & opt bool true
@@ -90,8 +94,8 @@ let timeout_arg =
 let progress_arg =
   Arg.(value & flag
        & info [ "progress" ]
-           ~doc:"Stream periodic watchdog snapshots of the chase \
-                 simulation on stderr.")
+           ~doc:"Stream periodic watchdog snapshots of the budgeted \
+                 chase on stderr.")
 
 let report_arg =
   Arg.(value & flag

@@ -30,8 +30,9 @@
     nulls, checking that atoms (oblivious) or frontier keys
     (semi-oblivious) keep being new; a confirmed pump is a sound
     non-termination certificate (any repetition would have been caught by
-    the second lap).  Termination answers are exact relative to the
-    reachable pattern space. *)
+    the second lap).  When no pump is confirmed, termination is settled
+    by the chase of the critical instance itself — run by the caller
+    ([Chase_termination.Linear]) under its own limits, not here. *)
 
 open Chase_logic
 
@@ -372,13 +373,50 @@ let realize rules cert =
     first_subst = Option.value !first_subst ~default:Subst.empty;
   }
 
-(* --- the searches -------------------------------------------------- *)
+(* --- the lasso search ---------------------------------------------- *)
 
-(** Oblivious-chase lasso search: from each reachable pattern π, explore
-    product states (pattern, taint) following only transitions whose child
-    taint is non-empty; a return to π proves every atom along the cycle
-    carries within-cycle nulls. *)
-let find_oblivious_pump rules reachable =
+(** Product states reachable from some [(π, ∅)], π a reachable pattern,
+    under every transition, in set order. *)
+let product_states transitions reachable =
+  let seen = ref Pstate_set.empty in
+  let queue = Queue.create () in
+  let visit st =
+    if not (Pstate_set.mem st !seen) then begin
+      seen := Pstate_set.add st !seen;
+      Queue.add st queue
+    end
+  in
+  Pattern.Set.iter (fun p -> visit (p, Iset.empty)) reachable;
+  while not (Queue.is_empty queue) do
+    let p, taint = Queue.pop queue in
+    List.iter (fun tr -> visit (tr.child, child_taint tr taint)) (transitions p)
+  done;
+  Pstate_set.elements !seen
+
+(** Lasso search over product states (pattern, taint), by iterative
+    deepening so that short pumping cycles are collected and confirmed
+    before the simple-path space explodes at larger depths.  The two
+    chases differ in four places:
+
+    - edge filter — oblivious: the child's taint is non-empty, so every
+      atom along the cycle carries within-cycle nulls; semi-oblivious:
+      the transition's frontier image touches the taint, so every step
+      produces a new frontier key;
+    - closing test — oblivious: back at the start pattern;
+      semi-oblivious: back at the start product state;
+    - start states — oblivious: [(π, ∅)] for every reachable π;
+      semi-oblivious: every product state reachable from those, the
+      non-productive prefix playing the first lap of the pump (taint
+      originates in Fresh sources, so a fresh-null creation feeds every
+      productive cycle);
+    - laps replayed by {!confirm}: 4 or 5.
+
+    From each start, a DFS enumerates (boundedly many) simple product
+    paths — visited-set pruning could hide a confirmable cycle behind a
+    shorter unconfirmable path through the same states — collects the
+    closing ones and confirms them shortest-first, so a short genuine
+    pump is never drowned out by a flood of longer spurious closings. *)
+let search ~semi rules reachable =
   let trans_cache = Hashtbl.create 64 in
   let transitions p =
     match Hashtbl.find_opt trans_cache p with
@@ -388,249 +426,70 @@ let find_oblivious_pump rules reachable =
       Hashtbl.add trans_cache p ts;
       ts
   in
-  (* DFS over simple product paths: visited-set pruning à la BFS can
-     suppress a confirmable cycle behind a shorter unconfirmable path
-     through the same states, so we enumerate (boundedly many) simple
-     paths, collect the closing ones, and confirm them shortest-first. *)
-  (* Iterative deepening: short pumping cycles must be collected and
-     confirmed before the simple-path space explodes at larger depths. *)
+  let productive taint tr taint' =
+    if semi then List.exists (fun c -> Iset.mem c taint) tr.frontier_classes
+    else not (Iset.is_empty taint')
+  in
+  let closes start st =
+    if semi then Pstate.compare st start = 0
+    else Pattern.equal (fst st) (fst start)
+  in
+  let laps = if semi then 5 else 4 in
+  let starts =
+    if semi then product_states transitions reachable
+    else List.map (fun p -> (p, Iset.empty)) (Pattern.Set.elements reachable)
+  in
   let max_collect = 4_000 in
   let max_confirm = 1_000 in
-  let found = ref None in
-  let try_depth start max_depth =
+  let try_start start max_depth =
     let candidates = ref [] in
-    let n_candidates = ref 0 in
+    let n = ref 0 in
     (* A pump may revisit the same product state mid-cycle (two chase
        facts with the same pattern and taint profile at different points
        of the loop), so paths may pass through each state up to twice. *)
     let visits st on_path =
-      match Pstate_map.find_opt st on_path with Some n -> n | None -> 0
+      Option.value (Pstate_map.find_opt st on_path) ~default:0
     in
     let rec dfs (p, taint) on_path path depth =
-      if depth < max_depth && !n_candidates < max_collect then
+      if depth < max_depth && !n < max_collect then
         List.iter
           (fun tr ->
-            if !n_candidates < max_collect then begin
-              let t' = child_taint tr taint in
-              if not (Iset.is_empty t') then begin
-                let st = (tr.child, t') in
-                let path' = tr :: path in
-                if Pattern.equal tr.child start then begin
-                  incr n_candidates;
-                  candidates := List.rev path' :: !candidates
+            if !n < max_collect then begin
+              let taint' = child_taint tr taint in
+              if productive taint tr taint' then begin
+                let st = (tr.child, taint') in
+                let path = tr :: path in
+                if closes start st then begin
+                  incr n;
+                  candidates := List.rev path :: !candidates
                 end;
                 let v = visits st on_path in
                 if v < 2 then
-                  dfs st (Pstate_map.add st (v + 1) on_path) path' (depth + 1)
+                  dfs st (Pstate_map.add st (v + 1) on_path) path (depth + 1)
               end
             end)
           (transitions p)
     in
-    let st0 = (start, Iset.empty) in
-    dfs st0 (Pstate_map.singleton st0 1) [] 0;
+    dfs start (Pstate_map.singleton start 1) [] 0;
     let by_length =
       List.stable_sort
         (fun c1 c2 -> Int.compare (List.length c1) (List.length c2))
         (List.rev !candidates)
     in
-    let tried = ref 0 in
-    List.iter
+    let start = fst start in
+    List.find_map
       (fun cycle ->
-        if !found = None && !tried < max_confirm then begin
-          incr tried;
-          if confirm ~semi:false rules ~start ~cycle ~laps:4 then
-            found := Some { start; cycle; laps_checked = 4 }
-        end)
-      by_length
+        if confirm ~semi rules ~start ~cycle ~laps then
+          Some { start; cycle; laps_checked = laps }
+        else None)
+      (List.filteri (fun i _ -> i < max_confirm) by_length)
   in
-  List.iter
-    (fun depth ->
-      if !found = None then
-        Pattern.Set.iter
-          (fun start -> if !found = None then try_depth start depth)
-          reachable)
-    [ 3; 6; 10; 16 ];
-  !found
+  List.find_map
+    (fun depth -> List.find_map (fun start -> try_start start depth) starts)
+    [ 3; 6; 10; 16 ]
 
-(** Semi-oblivious lasso search.  A transition is {e productive} from a
-    tainted state when its frontier image touches taint; we search for a
-    cycle of productive transitions (with at least one fresh-null creation
-    feeding it, enforced by construction since taint originates in Fresh
-    sources) reachable from a (π, ∅) start — the initial non-productive
-    prefix corresponds to the first lap of the pump. *)
-let find_semi_oblivious_pump rules reachable =
-  let trans_cache = Hashtbl.create 64 in
-  let transitions p =
-    match Hashtbl.find_opt trans_cache p with
-    | Some ts -> ts
-    | None ->
-      let ts = transitions_of rules p in
-      Hashtbl.add trans_cache p ts;
-      ts
-  in
-  (* Enumerate all product states reachable from any (π_reachable, ∅) via
-     arbitrary transitions, keeping the whole product graph small by
-     memoizing states. *)
-  let visited = ref Pstate_set.empty in
-  let queue = Queue.create () in
-  Pattern.Set.iter
-    (fun p ->
-      let st = (p, Iset.empty) in
-      if not (Pstate_set.mem st !visited) then begin
-        visited := Pstate_set.add st !visited;
-        Queue.add st queue
-      end)
-    reachable;
-  let product_edges = ref [] in
-  while not (Queue.is_empty queue) do
-    let (p, taint) = Queue.pop queue in
-    List.iter
-      (fun tr ->
-        let t' = child_taint tr taint in
-        let st' = (tr.child, t') in
-        let productive =
-          List.exists (fun c -> Iset.mem c taint) tr.frontier_classes
-        in
-        product_edges := ((p, taint), tr, st', productive) :: !product_edges;
-        if not (Pstate_set.mem st' !visited) then begin
-          visited := Pstate_set.add st' !visited;
-          Queue.add st' queue
-        end)
-      (transitions p)
-  done;
-  (* Search for a productive cycle: DFS over productive edges only,
-     looking for a state reachable from itself. *)
-  let prod_succ = ref Pstate_map.empty in
-  List.iter
-    (fun (src, tr, dst, productive) ->
-      if productive then
-        prod_succ :=
-          Pstate_map.update src
-            (fun old -> Some ((tr, dst) :: Option.value old ~default:[]))
-            !prod_succ)
-    !product_edges;
-  let succ_of st =
-    match Pstate_map.find_opt st !prod_succ with Some l -> l | None -> []
-  in
-  (* DFS over simple productive-edge paths from each candidate state —
-     plain BFS pruning can hide a confirmable cycle behind a shorter
-     unconfirmable path through the same states.  Collect closing cycles
-     first (cheap) and confirm them shortest-first, so a short genuine
-     pump is never drowned out by a flood of longer spurious closings.
-     Confirmation replays the cycle from a fresh instantiation; the first
-     lap plays the rôle of the taint-accumulating prefix. *)
-  (* Iterative deepening, as in the oblivious search. *)
-  let max_collect = 4_000 in
-  let max_confirm = 1_000 in
-  let found = ref None in
-  let try_from start_state max_depth =
-    let candidates = ref [] in
-    let n = ref 0 in
-    (* as in the oblivious search: a pump may pass through the same
-       product state twice mid-cycle, so allow up to two visits *)
-    let visits st on_path =
-      match Pstate_map.find_opt st on_path with Some k -> k | None -> 0
-    in
-    let rec dfs st on_path path depth =
-      if depth < max_depth && !n < max_collect then
-        List.iter
-          (fun (tr, dst) ->
-            if !n < max_collect then begin
-              if Pstate.compare dst start_state = 0 then begin
-                incr n;
-                candidates := List.rev (tr :: path) :: !candidates
-              end;
-              let v = visits dst on_path in
-              if v < 2 then
-                dfs dst (Pstate_map.add dst (v + 1) on_path) (tr :: path)
-                  (depth + 1)
-            end)
-          (succ_of st)
-    in
-    dfs start_state (Pstate_map.singleton start_state 1) [] 0;
-    let by_length =
-      List.stable_sort
-        (fun c1 c2 -> Int.compare (List.length c1) (List.length c2))
-        (List.rev !candidates)
-    in
-    let tried = ref 0 in
-    List.iter
-      (fun cycle ->
-        if !found = None && !tried < max_confirm then begin
-          incr tried;
-          let start = fst start_state in
-          if confirm ~semi:true rules ~start ~cycle ~laps:5 then
-            found := Some { start; cycle; laps_checked = 5 }
-        end)
-      by_length
-  in
-  List.iter
-    (fun depth ->
-      if !found = None then
-        Pstate_set.iter
-          (fun st ->
-            if !found = None && Pstate_map.mem st !prod_succ then
-              try_from st depth)
-          !visited)
-    [ 3; 6; 10; 16 ];
-  !found
-
-(* ------------------------------------------------------------------ *)
-(* Public API                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type verdict =
-  | Terminating
-  | Non_terminating of certificate
-  | Inconclusive of string
-      (** no pump was found, yet the sanity chase of the critical instance
-          did not close either — the reconstruction missed a pump shape *)
-
-let require_linear rules =
+let find_pump ~semi ?(standard = true) rules =
   if not (Chase_classes.Classify.is_linear rules) then
-    invalid_arg "Critical_linear: rule set is not linear"
-
-let default_constants ~standard rules =
-  Chase_engine.Critical.constants_for ~standard rules
-
-(* The pattern search is a reconstruction (DESIGN.md §6): its divergence
-   answers are concretely confirmed and therefore sound, but its
-   completeness is not proven.  Before answering "terminating" we
-   cross-check against the ground truth — the actual ?-chase of the
-   critical instance — and degrade honestly to [Inconclusive] if that
-   chase does not close within the sanity budget. *)
-let sanity_budget = 50_000
-
-let sanity_terminates ~variant ~constants rules =
-  let open Chase_engine in
-  let crit = Critical.of_rules ~constants rules in
-  let config = { Engine.variant; limits = Limits.of_budget sanity_budget } in
-  (Engine.run ~config rules (Instance.to_list crit)).Engine.status = Engine.Terminated
-
-let check_with ~variant ~find ?(standard = true) rules =
-  require_linear rules;
-  let constants = default_constants ~standard rules in
-  let reachable = reachable_patterns ~constants rules in
-  match find rules reachable with
-  | Some cert -> Non_terminating cert
-  | None ->
-    if sanity_terminates ~variant ~constants rules then
-      Terminating
-    else
-      Inconclusive
-        (Fmt.str
-           "no confirmed pump found, but the critical-instance chase did not \
-            close within %d triggers"
-           sanity_budget)
-
-(** Critical rich acyclicity: oblivious-chase termination for linear TGDs
-    (reconstruction of Theorem 2, oblivious side). *)
-let check_oblivious ?standard rules =
-  check_with ~variant:Chase_engine.Variant.Oblivious ~find:find_oblivious_pump
-    ?standard rules
-
-(** Critical weak acyclicity: semi-oblivious-chase termination for linear
-    TGDs (reconstruction of Theorem 2, semi-oblivious side). *)
-let check_semi_oblivious ?standard rules =
-  check_with ~variant:Chase_engine.Variant.Semi_oblivious
-    ~find:find_semi_oblivious_pump ?standard rules
+    invalid_arg "Critical_linear: rule set is not linear";
+  let constants = Chase_engine.Critical.constants_for ~standard rules in
+  search ~semi rules (reachable_patterns ~constants rules)

@@ -1,5 +1,5 @@
-(** Critical weak/rich acyclicity: exact termination analysis for linear
-    TGDs (Theorem 2).
+(** Critical weak/rich acyclicity: the pattern-transition system and the
+    lasso search of the linear procedure (Theorem 2).
 
     Facts of the chase of the critical instance are abstracted by their
     {!Chase_logic.Pattern.t}; for linear rules this abstraction is exact
@@ -9,7 +9,9 @@
     producing new full-homomorphism triggers (oblivious) or new frontier
     keys (semi-oblivious), tracked through a taint product — and every
     lasso is {e confirmed} by concretely replaying it with fresh nulls
-    before being reported.  See DESIGN.md §3.2. *)
+    before being reported.  This module runs no chase: a set without a
+    confirmed lasso is settled by the chase of the critical instance
+    ([Chase_termination.Linear]).  See DESIGN.md §3.2. *)
 
 open Chase_logic
 
@@ -73,23 +75,13 @@ val confirm :
     the final pattern closed the loop.  A confirmed pump is a sound
     non-termination witness. *)
 
-type verdict =
-  | Terminating
-  | Non_terminating of certificate
-  | Inconclusive of string
-      (** no pump was found, yet the sanity chase of the critical instance
-          did not close either — the reconstructed search missed a pump
-          shape on this input (reported honestly instead of answering
-          "terminating") *)
-
-val check_oblivious : ?standard:bool -> Tgd.t list -> verdict
-(** Critical rich acyclicity — oblivious-chase termination for linear
-    TGDs.  [standard] (default true) includes the constants 0, 1.
-    Divergence answers carry a concretely confirmed pump; termination
-    answers are cross-checked against the actual chase of the critical
-    instance (budget 50,000 triggers).
+val find_pump : semi:bool -> ?standard:bool -> Tgd.t list -> certificate option
+(** The lasso search: a productive lasso of the pattern-transition
+    system over crit(Σ)'s patterns ([standard], default true, adds the
+    constants 0 and 1), confirmed by {!confirm} — oblivious when
+    [semi = false] (critical rich acyclicity, 4 laps), semi-oblivious when
+    [semi = true] (critical weak acyclicity, 5 laps).  [Some] is a sound
+    non-termination certificate; [None] proves nothing by itself: the
+    search is a reconstruction (DESIGN.md §6), so termination is settled
+    by the chase of the critical instance ([Chase_termination.Linear]).
     @raise Invalid_argument if the set is not linear. *)
-
-val check_semi_oblivious : ?standard:bool -> Tgd.t list -> verdict
-(** Critical weak acyclicity — semi-oblivious-chase termination for
-    linear TGDs. *)

@@ -30,51 +30,11 @@ let add_edge g ~src ~dst ~special =
 
 let successors g u = g.adj.(u)
 
-(** Tarjan's algorithm; returns the component id of every node.  Components
-    are numbered in reverse topological order. *)
+(** Tarjan's algorithm ({!Chase_logic.Util.scc}); returns the component
+    id of every node.  Components are numbered in reverse topological
+    order. *)
 let scc g =
-  let n = g.size in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let comp = Array.make n (-1) in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let next_comp = ref 0 in
-  (* Explicit work stack to avoid stack overflow on long chains. *)
-  let rec strongconnect v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun (w, _) ->
-        if index.(w) = -1 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      g.adj.(v);
-    if lowlink.(v) = index.(v) then begin
-      let c = !next_comp in
-      incr next_comp;
-      let rec pop () =
-        match !stack with
-        | [] -> ()
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          comp.(w) <- c;
-          if w <> v then pop ()
-      in
-      pop ()
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) = -1 then strongconnect v
-  done;
-  comp
+  fst (Chase_logic.Util.scc ~n:g.size (fun v -> List.map fst g.adj.(v)))
 
 (** A special edge on a cycle, if any. *)
 let dangerous_edge g =

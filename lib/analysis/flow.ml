@@ -179,47 +179,6 @@ let move t places =
   done;
   Place_set.elements !p
 
-(* Tarjan SCC over 0..n-1; returns (component id per node, #components)
-   with ids in reverse topological order (sinks first). *)
-let scc_of ~n succs =
-  let index = Array.make n (-1)
-  and low = Array.make n 0
-  and onstack = Array.make n false
-  and comp = Array.make n (-1) in
-  let stack = ref [] and counter = ref 0 and ncomp = ref 0 in
-  let rec strong v =
-    index.(v) <- !counter;
-    low.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    onstack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strong w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if onstack.(w) then low.(v) <- min low.(v) index.(w))
-      (succs v);
-    if low.(v) = index.(v) then begin
-      let rec pop () =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          onstack.(w) <- false;
-          comp.(w) <- !ncomp;
-          if w <> v then pop ()
-        | [] -> ()
-      in
-      pop ();
-      incr ncomp
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strong v
-  done;
-  (comp, !ncomp)
-
 let build rule_list =
   let rules = Array.of_list rule_list in
   let n = Array.length rules in
@@ -365,7 +324,7 @@ let build rule_list =
     List.iter (fun (ri, rj) -> tbl.(ri) <- rj :: tbl.(ri)) fires;
     fun v -> tbl.(v)
   in
-  let comp, ncomp = scc_of ~n succs in
+  let comp, ncomp = Util.scc ~n succs in
   (* Tarjan numbers sinks first; strata want producers first *)
   let stratum_of = Array.map (fun c -> ncomp - 1 - c) comp in
   let groups = Array.make ncomp [] in

@@ -48,3 +48,48 @@ let hash_fold_array hash init arr =
 
 (** [pp_list sep pp] pretty-prints a list with separator string [sep]. *)
 let pp_list sep pp = Fmt.list ~sep:(fun fm () -> Fmt.string fm sep) pp
+
+(** Tarjan's strongly-connected-components algorithm over nodes
+    [0 … n-1] with successor lists [succs]: the component id of every
+    node and the number of components.  Components are numbered in
+    reverse topological order (sinks first). *)
+let scc ~n succs =
+  let index = Array.make n (-1) in
+  let low = Array.make n 0 in
+  let on_stack = Array.make n false in
+  let comp = Array.make n (-1) in
+  let stack = ref [] in
+  let counter = ref 0 in
+  let ncomp = ref 0 in
+  let rec strong v =
+    index.(v) <- !counter;
+    low.(v) <- !counter;
+    incr counter;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    List.iter
+      (fun w ->
+        if index.(w) < 0 then begin
+          strong w;
+          low.(v) <- min low.(v) low.(w)
+        end
+        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
+      (succs v);
+    if low.(v) = index.(v) then begin
+      let rec pop () =
+        match !stack with
+        | w :: rest ->
+          stack := rest;
+          on_stack.(w) <- false;
+          comp.(w) <- !ncomp;
+          if w <> v then pop ()
+        | [] -> ()
+      in
+      pop ();
+      incr ncomp
+    end
+  in
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then strong v
+  done;
+  (comp, !ncomp)

@@ -20,3 +20,8 @@ val hash_fold_array : ('a -> int) -> int -> 'a array -> int
 val pp_list :
   string -> (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a list -> unit
 (** [pp_list sep pp] pretty-prints a list with separator string [sep]. *)
+
+val scc : n:int -> (int -> int list) -> int array * int
+(** Tarjan's algorithm over nodes [0 … n-1] with successor lists
+    [succs]: the component id of every node and the number of
+    components, numbered in reverse topological order (sinks first). *)

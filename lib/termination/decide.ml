@@ -80,16 +80,18 @@ let check ?standard ?budget ?limits ?watchdog ?(obs = Chase_obs.Obs.disabled)
   | Restricted ->
     (* §4 territory: sufficient conditions, generic-instance refutation,
        and the single-head linear probe. *)
-    timed "restricted" (fun () -> Restricted.check ?budget ?limits ~obs rules)
+    timed "restricted" (fun () ->
+        Restricted.check ?budget ?limits ?watchdog ~obs rules)
   | Oblivious | Semi_oblivious -> (
     match Classify.classify rules with
     | Classify.Simple_linear ->
       timed "simple-linear" (fun () -> Sl.check ~variant rules)
     | Classify.Linear ->
-      timed "linear" (fun () -> Linear.check ?standard ~variant rules)
+      timed "linear" (fun () ->
+          Linear.check ?standard ?budget ?limits ?watchdog ~obs ~variant rules)
     | Classify.Guarded ->
       timed "guarded" (fun () ->
-          Guarded.check ?standard ?budget ?limits ~obs ~variant rules)
+          Guarded.check ?standard ?budget ?limits ?watchdog ~obs ~variant rules)
     | Classify.Unguarded -> (
       match
         timed "acyclicity" (fun () -> sufficient_acyclicity ~variant rules)
@@ -97,6 +99,5 @@ let check ?standard ?budget ?limits ?watchdog ?(obs = Chase_obs.Obs.disabled)
       | Some v -> v
       | None ->
         timed "simulation" (fun () ->
-            (Simulation.check ?standard ?budget ?limits ?watchdog ~obs
-               ~variant rules)
-              .verdict)))
+            Simulation.check ?standard ?budget ?limits ?watchdog ~obs
+              ~variant rules)))

@@ -17,10 +17,12 @@ val check :
   variant:Chase_engine.Variant.t ->
   Chase_logic.Tgd.t list ->
   Verdict.t
-(** [limits] overrides the budget-derived defaults of every budgeted
-    procedure (adding e.g. a wall-clock deadline or a cancellation
-    token); [watchdog] streams progress snapshots of the
-    chase-simulation fallback.  [obs] wraps the chosen procedure in a
-    [decide:<proc>] span, records its wall time per procedure
-    ([decide.check_s]), and flows into the budgeted procedures' chase
-    runs and the guarded pump search. *)
+(** [budget], [limits], [watchdog] and [obs] flow into the one chase
+    the chosen procedure runs: the critical-instance chase of the linear,
+    guarded and unguarded procedures ({!Simulation.chase}) or the
+    restricted generic-instance probe.  [limits] overrides the
+    budget-derived defaults (adding e.g. a wall-clock deadline or a
+    cancellation token); [watchdog] streams progress snapshots.  [obs]
+    also wraps the chosen procedure in a [decide:<proc>] span, records
+    its wall time per procedure ([decide.check_s]), and flows into the
+    guarded pump search. *)

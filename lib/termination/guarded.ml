@@ -15,7 +15,9 @@
       nulls keep being created, the branch is self-similar and the chase
       runs forever.
 
-    [check] runs the chase with a budget; on exhaustion it searches the
+    [check] runs the chase of the critical instance
+    ({!Simulation.chase}, under the caller's budget, limits, watchdog and
+    obs); on exhaustion it searches the
     derivation forest for a recurring-type pump.  To guard against clouds
     that were still growing when the snapshot was taken, a pump is only
     reported when the type recurs at least [min_occurrences] times along
@@ -247,7 +249,7 @@ let find_pump ?(obs = Chase_obs.Obs.disabled) (result : Engine.result) =
 
 let default_budget = 20_000
 
-let check ?(standard = true) ?(budget = default_budget) ?limits
+let check ?standard ?(budget = default_budget) ?limits ?watchdog
     ?(obs = Chase_obs.Obs.disabled) ~variant rules =
   require_guarded rules;
   if Chase_classes.Classify.is_full rules then
@@ -256,12 +258,9 @@ let check ?(standard = true) ?(budget = default_budget) ?limits
         "every rule is full (no existential variables): the chase can only \
          create finitely many facts over the database terms"
   else begin
-    let crit = Critical.of_rules ~standard rules in
-    let limits =
-      match limits with Some l -> l | None -> Limits.of_budget budget
+    let result =
+      Simulation.chase ?standard ~budget ?limits ?watchdog ~obs ~variant rules
     in
-    let config = { Engine.variant; limits } in
-    let result = Engine.run ~config ~obs rules (Instance.to_list crit) in
     match result.Engine.status with
     | Engine.Terminated ->
       Verdict.terminates ~procedure:"guarded-types"

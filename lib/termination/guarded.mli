@@ -2,11 +2,11 @@
     Theorem 4, realized as a certificate search over the guarded chase
     forest of the critical instance (see DESIGN.md §3.3):
 
-    - a closed chase of the critical instance proves termination on every
-      database (critical-instance theorem);
+    - a closed chase of the critical instance ({!Simulation.chase})
+      proves termination on every database (critical-instance theorem);
     - a recurring cloud type along one guard chain with fresh nulls at
       every link proves the branch self-similar, i.e. divergence;
-    - a budget-exhausted run without a pump answers [Unknown]. *)
+    - a run that breached its limits without a pump answers [Unknown]. *)
 
 open Chase_logic
 open Chase_engine
@@ -28,12 +28,13 @@ val check :
   ?standard:bool ->
   ?budget:int ->
   ?limits:Limits.t ->
+  ?watchdog:Watchdog.t ->
   ?obs:Chase_obs.Obs.t ->
   variant:Variant.t ->
   Tgd.t list ->
   Verdict.t
-(** [limits] overrides the budget-derived defaults (deadline,
-    cancellation, …); [obs] flows into the critical-instance chase and
-    the pump search.  A divergence verdict carries its pump
+(** [budget] (default [default_budget], 20,000), [limits], [watchdog]
+    and [obs] govern the critical-instance chase exactly as in
+    {!Simulation.chase}; [obs] also flows into the pump search.  A divergence verdict carries its pump
     ({!Verdict.Guard_chain}).
     @raise Invalid_argument if the set is not guarded. *)

@@ -1,40 +1,54 @@
 (** Termination for linear TGDs — Theorem 2.
 
-    Delegates to the critical-rich/weak acyclicity procedure of
-    {!Chase_acyclicity.Critical_linear}: a pattern-transition analysis of
-    the chase of the critical instance, with every non-termination answer
-    backed by a concretely confirmed pumping cycle. *)
+    The lasso search of {!Chase_acyclicity.Critical_linear} over the
+    pattern-transition system of the critical instance looks for a
+    concretely confirmed pump; without one, the chase of the critical
+    instance ({!Simulation.chase}, under the caller's limits) settles the
+    question: closed is termination on every database, a breached limit
+    is [Unknown]. *)
 
+open Chase_logic
 open Chase_engine
 open Chase_acyclicity
 
-let check ?(standard = true) ~variant rules =
-  let procedure, no_lasso, outcome =
+let check ?(standard = true) ?budget ?limits ?watchdog ?obs ~variant rules =
+  let procedure, no_lasso, semi =
     match (variant : Variant.t) with
-    | Oblivious ->
-      ( "critical-rich-acyclicity",
-        "no productive lasso",
-        Critical_linear.check_oblivious ~standard rules )
+    | Oblivious -> ("critical-rich-acyclicity", "no productive lasso", false)
     | Semi_oblivious ->
       ( "critical-weak-acyclicity",
         "no cycle of frontier-productive transitions",
-        Critical_linear.check_semi_oblivious ~standard rules )
+        true )
     | Restricted ->
       invalid_arg
         "Linear.check: Theorem 2 covers the (semi-)oblivious chase only"
   in
-  match outcome with
-  | Critical_linear.Terminating ->
-    Verdict.terminates ~procedure
-      ~evidence:
-        (no_lasso
-       ^ " in the pattern-transition system, and the chase of the critical \
-          instance closes")
-  | Critical_linear.Non_terminating cert ->
+  match Critical_linear.find_pump ~semi ~standard rules with
+  | Some cert ->
     Verdict.diverges ~witness:(Verdict.Linear_pump cert) ~procedure
       ~evidence:
         (Fmt.str "confirmed pump (%d laps replayed): %a" cert.laps_checked
            (Critical_linear.pp_certificate rules)
            cert)
       ()
-  | Critical_linear.Inconclusive msg -> Verdict.unknown ~procedure ~evidence:msg
+  | None -> (
+    let result =
+      Simulation.chase ~standard ?budget ?limits ?watchdog ?obs ~variant rules
+    in
+    match result.Engine.status with
+    | Engine.Terminated ->
+      Verdict.terminates ~procedure
+        ~evidence:
+          (no_lasso
+         ^ " in the pattern-transition system, and the chase of the critical \
+            instance closes")
+    | Engine.Exhausted reason ->
+      Verdict.unknown ~procedure
+        ~evidence:
+          (Fmt.str
+             "no confirmed pump found, but the critical-instance chase did not \
+              close within the %a (%d facts, max depth %d — %s)"
+             Limits.pp_breach reason.Limits.Exhaustion.breach
+             (Instance.cardinal result.Engine.instance)
+             result.Engine.max_depth
+             (Limits.Exhaustion.diagnosis reason)))

@@ -29,14 +29,14 @@ open Chase_acyclicity
 
 let default_budget = 20_000
 
-let probe ?(budget = default_budget) ?limits ?obs rules db =
+let probe ?(budget = default_budget) ?limits ?watchdog ?obs rules db =
   let limits =
     match limits with Some l -> l | None -> Limits.of_budget budget
   in
   let config = { Engine.variant = Variant.Restricted; limits } in
-  Engine.run ~config ?obs rules db
+  Engine.run ~config ?obs ?watchdog rules db
 
-let check ?(budget = default_budget) ?limits ?obs rules =
+let check ?(budget = default_budget) ?limits ?watchdog ?obs rules =
   if Weak.is_weakly_acyclic rules then
     Verdict.terminates ~procedure:"weak-acyclicity (sufficient)"
       ~evidence:
@@ -59,7 +59,7 @@ let check ?(budget = default_budget) ?limits ?obs rules =
   else begin
     let generic = Critical.generic_of_rules rules in
     let on_generic =
-      probe ~budget ?limits ?obs rules (Instance.to_list generic)
+      probe ~budget ?limits ?watchdog ?obs rules (Instance.to_list generic)
     in
     match on_generic.Engine.status with
     | Engine.Exhausted reason ->

@@ -14,6 +14,7 @@ val default_budget : int
 val probe :
   ?budget:int ->
   ?limits:Limits.t ->
+  ?watchdog:Watchdog.t ->
   ?obs:Chase_obs.Obs.t ->
   Chase_logic.Tgd.t list ->
   Chase_logic.Atom.t list ->
@@ -23,8 +24,10 @@ val probe :
 val check :
   ?budget:int ->
   ?limits:Limits.t ->
+  ?watchdog:Watchdog.t ->
   ?obs:Chase_obs.Obs.t ->
   Chase_logic.Tgd.t list ->
   Verdict.t
 (** [limits] overrides the budget-derived defaults of the generic-instance
-    probe; [obs] flows into it. *)
+    probe; [watchdog] streams its progress snapshots; [obs] flows into
+    it. *)

@@ -1,4 +1,6 @@
-(** The chase-simulation oracle: run the ?-chase on the critical instance.
+(** The chase of the critical instance — the one crit(Σ) chase behind
+    every Decide procedure that chases ({!Linear}, {!Guarded} and the
+    unguarded fallback [check]).
 
     By the critical-instance theorem (DESIGN.md §1) the ?-chase, for
     ? ∈ {oblivious, semi-oblivious}, terminates on every database iff it
@@ -18,49 +20,42 @@
 open Chase_logic
 open Chase_engine
 
-type outcome = {
-  verdict : Verdict.t;
-  result : Engine.result;
-}
-
 let default_budget = 50_000
 
-(** [check ?standard ?budget ?limits ?watchdog ~variant rules] chases
-    crit(Σ).  [limits] overrides the budget-derived defaults; [watchdog]
-    streams progress snapshots of the simulation run. *)
-let check ?(standard = true) ?(budget = default_budget) ?limits ?watchdog ?obs
+(** [chase ?standard ?budget ?limits ?watchdog ?obs ~variant rules] runs
+    the [variant] chase of crit(Σ) under [limits], or else
+    [Limits.of_budget budget]. *)
+let chase ?(standard = true) ?(budget = default_budget) ?limits ?watchdog ?obs
     ~variant rules =
   let crit = Critical.of_rules ~standard rules in
   let limits =
     match limits with Some l -> l | None -> Limits.of_budget budget
   in
   let config = { Engine.variant; limits } in
-  let result =
-    Engine.run ~config ?obs ?watchdog rules (Instance.to_list crit)
-  in
-  let verdict =
-    match result.Engine.status with
-    | Engine.Terminated ->
-      let scope =
-        match (variant : Variant.t) with
-        | Oblivious | Semi_oblivious -> "all databases"
-        | Restricted -> "the critical instance (restricted chase: no all-instance guarantee)"
-      in
-      Verdict.terminates ~procedure:"chase-simulation"
-        ~evidence:
-          (Fmt.str
-             "%a chase of the critical instance closed after %d triggers, %d \
-              facts — terminates on %s"
-             Variant.pp variant result.Engine.triggers_applied
-             (Instance.cardinal result.Engine.instance)
-             scope)
-    | Engine.Exhausted reason ->
-      Verdict.unknown ~procedure:"chase-simulation"
-        ~evidence:
-          (Fmt.str "%a at %d facts, max depth %d — %s; no conclusion"
-             Limits.pp_breach reason.Limits.Exhaustion.breach
-             (Instance.cardinal result.Engine.instance)
-             result.Engine.max_depth
-             (Limits.Exhaustion.diagnosis reason))
-  in
-  { verdict; result }
+  Engine.run ~config ?obs ?watchdog rules (Instance.to_list crit)
+
+let check ?standard ?budget ?limits ?watchdog ?obs ~variant rules =
+  let result = chase ?standard ?budget ?limits ?watchdog ?obs ~variant rules in
+  match result.Engine.status with
+  | Engine.Terminated ->
+    let scope =
+      match (variant : Variant.t) with
+      | Oblivious | Semi_oblivious -> "all databases"
+      | Restricted -> "the critical instance (restricted chase: no all-instance guarantee)"
+    in
+    Verdict.terminates ~procedure:"chase-simulation"
+      ~evidence:
+        (Fmt.str
+           "%a chase of the critical instance closed after %d triggers, %d \
+            facts — terminates on %s"
+           Variant.pp variant result.Engine.triggers_applied
+           (Instance.cardinal result.Engine.instance)
+           scope)
+  | Engine.Exhausted reason ->
+    Verdict.unknown ~procedure:"chase-simulation"
+      ~evidence:
+        (Fmt.str "%a at %d facts, max depth %d — %s; no conclusion"
+           Limits.pp_breach reason.Limits.Exhaustion.breach
+           (Instance.cardinal result.Engine.instance)
+           result.Engine.max_depth
+           (Limits.Exhaustion.diagnosis reason))

@@ -98,6 +98,87 @@ let thm2_arity_family () =
            (Linear.check ~variant:Variant.Oblivious (Families.linear_blocked ~arity))))
     [ 2; 3; 4 ]
 
+(* Linear.check's full verdict text (answer, procedure, evidence with its
+   printed certificate) under o and so on the named linear families and
+   400 random linear sets, pinned as one MD5 so that a change of how the
+   pump search or the closing chase is run cannot move a verdict or a
+   certificate unseen. *)
+let thm2_verdict_texts_pinned () =
+  let d = Random_tgds.default_profile in
+  let named =
+    List.map (fun arity -> (true, Families.linear_rotating ~arity)) [ 2; 3; 4 ]
+    @ List.map
+        (fun arity -> (true, Families.linear_blocked ~arity))
+        [ 2; 3; 4; 5; 6; 7; 8 ]
+    @ List.map
+        (fun rules -> (true, rules))
+        [ Families.thm2_counterexample; Families.mfa_incomplete_witness;
+          Families.example2 ]
+  in
+  let random =
+    List.concat_map
+      (fun constant_bias ->
+        List.init 200 (fun seed ->
+            ( false,
+              Random_tgds.linear ~seed ~profile:{ d with constant_bias } () )))
+      [ 0.; 0.3 ]
+  in
+  let texts =
+    List.concat_map
+      (fun (standard, rules) ->
+        List.map
+          (fun variant ->
+            Fmt.str "%a" Verdict.pp (Linear.check ~standard ~variant rules))
+          [ Variant.Oblivious; Variant.Semi_oblivious ])
+      (named @ random)
+  in
+  Alcotest.(check int) "texts" 826 (List.length texts);
+  Alcotest.(check string) "MD5 of the joined texts" "cf215615267a4e1da7ad2fd735596ac5"
+    (Digest.to_hex (Digest.string (String.concat "\n" texts)))
+
+(* The closing chase of the linear procedure is the caller's: its budget
+   and its cancellation token govern it, and an exhausted chase names
+   the limit it breached.  linear_blocked at arity 8 has no pump; its
+   crit(Σ) has 6,561 facts and its chase closes after 2,187 triggers
+   (the pinned texts above cover its default-budget answer). *)
+let thm2_closing_chase_budgeted () =
+  let rules = Families.linear_blocked ~arity:8 in
+  List.iter
+    (fun variant ->
+      let v = Linear.check ~budget:1_000 ~variant rules in
+      Alcotest.(check string)
+        (Fmt.str "%a: unknown at budget 1,000" Variant.pp variant)
+        "unknown"
+        (Verdict.answer_to_string (Verdict.answer v));
+      Alcotest.(check bool)
+        (Fmt.str "%a: the evidence names the breached atom budget" Variant.pp
+           variant)
+        true
+        (contains v.Verdict.evidence "atom budget of 4000 facts");
+      let v =
+        Linear.check ~limits:(Limits.make ~max_triggers:1_000 ()) ~variant rules
+      in
+      Alcotest.(check bool)
+        (Fmt.str "%a: the evidence names the breached trigger budget"
+           Variant.pp variant)
+        true
+        (Verdict.is_unknown v
+        && contains v.Verdict.evidence "trigger budget of 1000 applications"))
+    [ Variant.Oblivious; Variant.Semi_oblivious ]
+
+let thm2_closing_chase_cancelled () =
+  let cancel = Limits.Cancel.create () in
+  Limits.Cancel.cancel ~reason:"test" cancel;
+  let limits = Limits.make ~max_triggers:50_000 ~cancel () in
+  let v =
+    Decide.check ~limits ~variant:Variant.Semi_oblivious
+      (Families.linear_blocked ~arity:8)
+  in
+  Alcotest.(check string) "cancelled token: unknown" "unknown"
+    (Verdict.answer_to_string (Verdict.answer v));
+  Alcotest.(check bool) "the evidence names the cancellation" true
+    (contains v.Verdict.evidence "cancellation request (test)")
+
 (* ---------------- Grahne–Onet: CT^o ⊆ CT^so ---------------- *)
 
 let cto_subset_ctso =
@@ -198,6 +279,23 @@ let shapes () =
 
 (* ---------------- the Decide dispatcher ---------------- *)
 
+(* Decide hands its watchdog to the guarded procedure's chase: a
+   snapshot every 1,024 steps, no time gating, until the 20,000-trigger
+   budget runs out. *)
+let decide_guarded_watchdog () =
+  let steps = ref [] in
+  let watchdog =
+    Watchdog.create ~every:1024 (fun s -> steps := s.Watchdog.step :: !steps)
+  in
+  let v =
+    Decide.check ~budget:20_000 ~watchdog ~variant:Variant.Semi_oblivious
+      (Families.guarded_divergent ~arity:3)
+  in
+  Alcotest.(check string) "procedure" "guarded-types" v.Verdict.procedure;
+  Alcotest.(check (list int)) "snapshot steps"
+    (List.init 19 (fun i -> 1024 * (i + 1)))
+    (List.rev !steps)
+
 let decide_catalogue () =
   (* every catalogue family gets a definite, correct answer *)
   List.iter
@@ -237,4 +335,12 @@ let suite =
     Alcotest.test_case "Decide on the catalogue" `Quick decide_catalogue;
     Alcotest.test_case "Decide picks the right procedure" `Quick decide_uses_fast_path;
     Alcotest.test_case "Thm 3/4 shapes: counts grow with size and arity" `Quick shapes;
+    Alcotest.test_case "Thm 2 verdict texts pinned (o, so)" `Quick
+      thm2_verdict_texts_pinned;
+    Alcotest.test_case "Thm 2: the closing chase honours the budget" `Quick
+      thm2_closing_chase_budgeted;
+    Alcotest.test_case "Thm 2: the closing chase honours a cancelled token"
+      `Quick thm2_closing_chase_cancelled;
+    Alcotest.test_case "Decide streams the guarded chase to its watchdog"
+      `Quick decide_guarded_watchdog;
   ]
