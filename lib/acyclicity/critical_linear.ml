@@ -188,7 +188,7 @@ let transitions_of rules (p : Pattern.t) : transition list =
 (* ------------------------------------------------------------------ *)
 
 (** Patterns of the critical-instance facts. *)
-let initial_patterns ~constants rules =
+let initial_patterns ?(poll = ignore) ~constants rules =
   let schema = Schema.of_rules rules in
   let cs = Array.of_list constants in
   let k = Array.length cs in
@@ -197,7 +197,10 @@ let initial_patterns ~constants rules =
     (fun (p, n) ->
       let args = Array.make n cs.(if k > 0 then 0 else 0) in
       let rec go i =
-        if i >= n then acc := Pattern.Set.add (Pattern.of_terms p args) !acc
+        if i >= n then begin
+          poll ();
+          acc := Pattern.Set.add (Pattern.of_terms p args) !acc
+        end
         else
           for j = 0 to k - 1 do
             args.(i) <- cs.(j);
@@ -210,11 +213,12 @@ let initial_patterns ~constants rules =
   !acc
 
 (** BFS closure of the initial patterns under transitions. *)
-let reachable_patterns ~constants rules =
-  let seen = ref (initial_patterns ~constants rules) in
+let reachable_patterns ?(poll = ignore) ~constants rules =
+  let seen = ref (initial_patterns ~poll ~constants rules) in
   let queue = Queue.create () in
   Pattern.Set.iter (fun p -> Queue.add p queue) !seen;
   while not (Queue.is_empty queue) do
+    poll ();
     let p = Queue.pop queue in
     List.iter
       (fun tr ->
@@ -377,7 +381,7 @@ let realize rules cert =
 
 (** Product states reachable from some [(π, ∅)], π a reachable pattern,
     under every transition, in set order. *)
-let product_states transitions reachable =
+let product_states ~poll transitions reachable =
   let seen = ref Pstate_set.empty in
   let queue = Queue.create () in
   let visit st =
@@ -388,6 +392,7 @@ let product_states transitions reachable =
   in
   Pattern.Set.iter (fun p -> visit (p, Iset.empty)) reachable;
   while not (Queue.is_empty queue) do
+    poll ();
     let p, taint = Queue.pop queue in
     List.iter (fun tr -> visit (tr.child, child_taint tr taint)) (transitions p)
   done;
@@ -416,7 +421,7 @@ let product_states transitions reachable =
     shorter unconfirmable path through the same states — collects the
     closing ones and confirms them shortest-first, so a short genuine
     pump is never drowned out by a flood of longer spurious closings. *)
-let search ~semi rules reachable =
+let search ~poll ~semi rules reachable =
   let trans_cache = Hashtbl.create 64 in
   let transitions p =
     match Hashtbl.find_opt trans_cache p with
@@ -436,7 +441,7 @@ let search ~semi rules reachable =
   in
   let laps = if semi then 5 else 4 in
   let starts =
-    if semi then product_states transitions reachable
+    if semi then product_states ~poll transitions reachable
     else List.map (fun p -> (p, Iset.empty)) (Pattern.Set.elements reachable)
   in
   let max_collect = 4_000 in
@@ -451,6 +456,7 @@ let search ~semi rules reachable =
       Option.value (Pstate_map.find_opt st on_path) ~default:0
     in
     let rec dfs (p, taint) on_path path depth =
+      poll ();
       if depth < max_depth && !n < max_collect then
         List.iter
           (fun tr ->
@@ -479,6 +485,7 @@ let search ~semi rules reachable =
     let start = fst start in
     List.find_map
       (fun cycle ->
+        poll ();
         if confirm ~semi rules ~start ~cycle ~laps then
           Some { start; cycle; laps_checked = laps }
         else None)
@@ -488,8 +495,29 @@ let search ~semi rules reachable =
     (fun depth -> List.find_map (fun start -> try_start start depth) starts)
     [ 3; 6; 10; 16 ]
 
-let find_pump ~semi ?(standard = true) rules =
+exception Interrupted of Chase_engine.Limits.breach
+
+let find_pump ~semi ?(standard = true) ?limits rules =
   if not (Chase_classes.Classify.is_linear rules) then
     invalid_arg "Critical_linear: rule set is not linear";
   let constants = Chase_engine.Critical.constants_for ~standard rules in
-  search ~semi rules (reachable_patterns ~constants rules)
+  (* The deadline and the token are read on the first poll and then on
+     every 64th: each poll is one critical fact's pattern, one expanded
+     pattern or product state, one search node or one confirmed
+     candidate. *)
+  let poll =
+    match limits with
+    | None -> ignore
+    | Some l ->
+      let monitor = Chase_engine.Limits.Monitor.start l in
+      let n = ref 0 in
+      fun () ->
+        if !n land 63 = 0 then
+          Option.iter
+            (fun b -> raise (Interrupted b))
+            (Chase_engine.Limits.Monitor.interrupted monitor);
+        incr n
+  in
+  match search ~poll ~semi rules (reachable_patterns ~poll ~constants rules) with
+  | found -> Ok found
+  | exception Interrupted breach -> Error breach

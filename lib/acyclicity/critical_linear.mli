@@ -36,12 +36,16 @@ val transitions_of : Tgd.t list -> Pattern.t -> transition list
 (** All pattern-level steps out of a pattern.
     @raise Invalid_argument if a rule is not linear. *)
 
-val initial_patterns : constants:Term.t list -> Tgd.t list -> Pattern.Set.t
-(** Patterns of the critical-instance facts. *)
+val initial_patterns :
+  ?poll:(unit -> unit) -> constants:Term.t list -> Tgd.t list -> Pattern.Set.t
+(** Patterns of the critical-instance facts; [poll] runs before each
+    fact's pattern is added. *)
 
-val reachable_patterns : constants:Term.t list -> Tgd.t list -> Pattern.Set.t
+val reachable_patterns :
+  ?poll:(unit -> unit) -> constants:Term.t list -> Tgd.t list -> Pattern.Set.t
 (** BFS closure of the initial patterns — exactly the patterns of facts
-    occurring in the chase of the critical instance. *)
+    occurring in the chase of the critical instance.  [poll] runs before
+    each pattern is expanded. *)
 
 type certificate = {
   start : Pattern.t;
@@ -75,7 +79,12 @@ val confirm :
     the final pattern closed the loop.  A confirmed pump is a sound
     non-termination witness. *)
 
-val find_pump : semi:bool -> ?standard:bool -> Tgd.t list -> certificate option
+val find_pump :
+  semi:bool ->
+  ?standard:bool ->
+  ?limits:Chase_engine.Limits.t ->
+  Tgd.t list ->
+  (certificate option, Chase_engine.Limits.breach) result
 (** The lasso search: a productive lasso of the pattern-transition
     system over crit(Σ)'s patterns ([standard], default true, adds the
     constants 0 and 1), confirmed by {!confirm} — oblivious when
@@ -84,4 +93,7 @@ val find_pump : semi:bool -> ?standard:bool -> Tgd.t list -> certificate option
     non-termination certificate; [None] proves nothing by itself: the
     search is a reconstruction (DESIGN.md §6), so termination is settled
     by the chase of the critical instance ([Chase_termination.Linear]).
+    [limits]' cancellation token and deadline (counted from the call)
+    are polled every 64 search steps; [Error] names the one that
+    stopped the search.  No counter budget applies to the search.
     @raise Invalid_argument if the set is not linear. *)

@@ -83,6 +83,14 @@ type witness =
       occurrences : Atom.t list;
       chain_length : int;
     }
+  | Lasso of {
+      rules : int list;
+      facts : Atom.t list;
+      shifted : Atom.t list;
+      shift : (Term.t * Term.t) list;
+      records : int;
+      step : int;
+    }
   | Unreachable of {
       pred : string;
       used_by : int list;
@@ -209,6 +217,21 @@ let witness_to_json = function
         ("kind", Json.String "guard-chain");
         ("occurrences", Json.List (List.map json_atom occurrences));
         ("chain_length", Json.Int chain_length);
+      ]
+  | Lasso { rules; facts; shifted; shift; records; step } ->
+    Json.Obj
+      [
+        ("kind", Json.String "lasso");
+        ("rules", Json.List (List.map (fun r -> Json.Int r) rules));
+        ("facts", Json.List (List.map json_atom facts));
+        ("shifted", Json.List (List.map json_atom shifted));
+        ( "shift",
+          Json.List
+            (List.map
+               (fun (x, y) -> Json.List [ Json.String (Term.to_string x); Json.String (Term.to_string y) ])
+               shift) );
+        ("records", Json.Int records);
+        ("step", Json.Int step);
       ]
   | Unreachable { pred; used_by } ->
     Json.Obj

@@ -15,7 +15,10 @@
       dependency graph (witness: the position path);
     - [W021] realizable-cycle — a concretely confirmed pump of the
       critical-instance analysis (witness: the cycle steps, the replayed
-      fact chain and the realizing substitution);
+      fact chain and the realizing substitution), a certified lasso of
+      the critical instance's chase (witness: the lasso's body facts,
+      their shifted images and the shift) or a recurring guard-chain
+      type;
     - [I030] unreachable-predicate — a body predicate the given database
       can never populate;
     - [I031] subsumed-rule — a rule logically implied by an earlier one;
@@ -85,6 +88,14 @@ type witness =
   | Guard_chain of {
       occurrences : Atom.t list;  (** same-type facts along a guard chain *)
       chain_length : int;
+    }
+  | Lasso of {
+      rules : int list;  (** rule index of each lasso trigger *)
+      facts : Atom.t list;  (** the lasso triggers' body facts *)
+      shifted : Atom.t list;  (** their images under the shift h *)
+      shift : (Term.t * Term.t) list;  (** h *)
+      records : int;  (** derivation records in the certificate *)
+      step : int;  (** the chase step at which it was accepted *)
     }
   | Unreachable of {
       pred : string;

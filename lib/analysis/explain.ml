@@ -89,12 +89,47 @@ let guard_chain_diagnostic occurrences chain_length =
     ~witness:(Diagnostic.Guard_chain { occurrences; chain_length })
     msg
 
+(* ---- any chasing procedure: a certified lasso (DESIGN.md §3.13) ---- *)
+
+let lasso_diagnostic lrules rules (l : Chase_engine.Lasso.t) =
+  let idxs = List.map (fun i -> l.records.(i).Chase_engine.Lasso.rule) l.lasso in
+  let facts, shifted = Chase_engine.Lasso.body_facts rules l in
+  let msg =
+    Fmt.str
+      "certified lasso at step %d of the critical instance's chase: rule%s %a \
+       fire%s again on %a with every null shifted, and each shift is a new \
+       trigger (%d derivation records checked), so the chase diverges"
+      l.step
+      (match idxs with [ _ ] -> "" | _ -> "s")
+      (Util.pp_list ", " Fmt.string)
+      (List.filter_map (label_of_rule lrules) idxs)
+      (match idxs with [ _ ] -> "s" | _ -> "")
+      (Util.pp_list ", " Atom.pp) shifted
+      (Array.length l.records)
+  in
+  let first = List.hd idxs in
+  Diagnostic.make Diagnostic.W021
+    ?line:(line_of_rule lrules first)
+    ?rule:(label_of_rule lrules first)
+    ~witness:
+      (Diagnostic.Lasso
+         {
+           rules = idxs;
+           facts;
+           shifted;
+           shift = l.shift;
+           records = Array.length l.records;
+           step = l.step;
+         })
+    msg
+
 let render lrules rules = function
   | Verdict.Dangerous_cycle { graph; positions } ->
     cycle_diagnostic graph positions
   | Verdict.Linear_pump cert -> pump_diagnostic lrules rules cert
   | Verdict.Guard_chain { occurrences; chain_length } ->
     guard_chain_diagnostic occurrences chain_length
+  | Verdict.Lasso l -> lasso_diagnostic lrules rules l
 
 let check ?standard ?(budget = Chase_termination.Guarded.default_budget)
     ~variant lrules =

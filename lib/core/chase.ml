@@ -5,7 +5,8 @@
     - logic substrate: {!Term}, {!Atom}, {!Subst}, {!Instance}, {!Hom},
       {!Plan}, {!Template}, {!Tgd}, {!Schema}, {!Pattern}, {!Parser};
     - chase engine: {!Variant}, {!Engine}, {!Trigger},
-      {!Limits}, {!Watchdog}, {!Faults}, {!Critical}, {!Derivation};
+      {!Limits}, {!Watchdog}, {!Faults}, {!Critical}, {!Derivation},
+      {!Lasso};
     - observability: {!Obs}, {!Metrics}, {!Sink}, {!Jsonv}, {!Profile},
       {!Tracectx}, {!Flight}, {!Telemetry};
     - durability: {!Codec}, {!Journal}, {!Snapshot}, {!Recovery},
@@ -58,6 +59,7 @@ module Limits = Chase_engine.Limits
 module Watchdog = Chase_engine.Watchdog
 module Faults = Chase_engine.Faults
 module Critical = Chase_engine.Critical
+module Lasso = Chase_engine.Lasso
 module Derivation = Chase_engine.Derivation
 module Egd_chase = Chase_engine.Egd_chase
 module Sequence = Chase_engine.Sequence

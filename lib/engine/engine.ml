@@ -325,57 +325,61 @@ let run ?(config = default_config) ?(obs = Obs.disabled) ?on_trigger ?watchdog
           apply tr);
         loop ()
   in
-  let status = loop () in
-  if tracked then begin
-    (* Run totals into the metric registry; the matcher's as deltas
-       against its process-wide counters. *)
-    let dh = Hom.Stats.diff hom0 (Hom.Stats.snapshot ()) in
-    let dp = Plan.Stats.diff plan0 (Plan.Stats.snapshot ()) in
-    Obs.incr obs ~by:!triggers_applied "chase.triggers_applied";
-    Obs.incr obs ~by:!triggers_skipped "chase.triggers_skipped";
-    Obs.incr obs ~by:!atoms_created "chase.atoms_created";
-    Obs.incr obs ~by:!null_counter "chase.nulls_created";
-    Obs.incr obs ~by:dh.Hom.Stats.probes "chase.hom.probes";
-    Obs.incr obs ~by:dh.Hom.Stats.full_scans "chase.hom.full_scans";
-    Obs.incr obs ~by:dh.Hom.Stats.candidates "chase.hom.candidates";
-    Obs.incr obs ~by:dh.Hom.Stats.matches "chase.hom.matches";
-    Obs.incr obs ~by:dh.Hom.Stats.planned_probe_cost
-      "chase.hom.planned_probe_cost";
-    Obs.incr obs ~by:dh.Hom.Stats.naive_probe_cost "chase.hom.naive_probe_cost";
-    Obs.incr obs ~by:dp.Plan.Stats.plans "chase.plan.plans";
-    Obs.incr obs ~by:dp.Plan.Stats.estimates "chase.plan.estimates";
-    Obs.set_gauge obs "chase.instance.facts"
-      (float_of_int (Instance.cardinal instance));
-    Obs.set_gauge obs "chase.queue.residual"
-      (float_of_int (Queue.length queue));
-    Obs.set_gauge obs "chase.max_depth" (float_of_int !max_depth);
-    List.iter
-      (fun (p, _) ->
-        Obs.observe obs "chase.instance.bucket_size"
-          (float_of_int (Instance.count_of_pred instance p)))
-      (Instance.predicates instance);
-    Array.iteri
-      (fun i _ ->
-        let label = rule_display i in
-        if firings.(i) > 0 || prof_time.(i) > 0. then begin
-          Obs.incr obs ~label ~by:firings.(i) "chase.rule.firings";
-          Obs.incr obs ~label ~by:prof_nulls.(i) "chase.rule.nulls";
-          Obs.incr obs ~label ~by:prof_probes.(i) "chase.rule.probes";
-          Obs.observe obs ~label "chase.rule.match_s" prof_match.(i);
-          Obs.observe obs ~label "chase.rule.time_s" prof_time.(i)
-        end)
-      rules;
-    Obs.instant obs "chase.done"
-      ~args:
-        [
-          ( "status",
-            Chase_obs.Jsonv.String
-              (match status with
-              | Terminated -> "terminated"
-              | Exhausted _ -> "exhausted") );
-        ];
-    Obs.span_end obs "chase"
-  end;
+  (* The run totals and the closing of the [chase] span, also when an
+     [on_trigger] hook stops the run by raising. *)
+  let finish outcome =
+    if tracked then begin
+      (* Run totals into the metric registry; the matcher's as deltas
+         against its process-wide counters. *)
+      let dh = Hom.Stats.diff hom0 (Hom.Stats.snapshot ()) in
+      let dp = Plan.Stats.diff plan0 (Plan.Stats.snapshot ()) in
+      Obs.incr obs ~by:!triggers_applied "chase.triggers_applied";
+      Obs.incr obs ~by:!triggers_skipped "chase.triggers_skipped";
+      Obs.incr obs ~by:!atoms_created "chase.atoms_created";
+      Obs.incr obs ~by:!null_counter "chase.nulls_created";
+      Obs.incr obs ~by:dh.Hom.Stats.probes "chase.hom.probes";
+      Obs.incr obs ~by:dh.Hom.Stats.full_scans "chase.hom.full_scans";
+      Obs.incr obs ~by:dh.Hom.Stats.candidates "chase.hom.candidates";
+      Obs.incr obs ~by:dh.Hom.Stats.matches "chase.hom.matches";
+      Obs.incr obs ~by:dh.Hom.Stats.planned_probe_cost
+        "chase.hom.planned_probe_cost";
+      Obs.incr obs ~by:dh.Hom.Stats.naive_probe_cost "chase.hom.naive_probe_cost";
+      Obs.incr obs ~by:dp.Plan.Stats.plans "chase.plan.plans";
+      Obs.incr obs ~by:dp.Plan.Stats.estimates "chase.plan.estimates";
+      Obs.set_gauge obs "chase.instance.facts"
+        (float_of_int (Instance.cardinal instance));
+      Obs.set_gauge obs "chase.queue.residual"
+        (float_of_int (Queue.length queue));
+      Obs.set_gauge obs "chase.max_depth" (float_of_int !max_depth);
+      List.iter
+        (fun (p, _) ->
+          Obs.observe obs "chase.instance.bucket_size"
+            (float_of_int (Instance.count_of_pred instance p)))
+        (Instance.predicates instance);
+      Array.iteri
+        (fun i _ ->
+          let label = rule_display i in
+          if firings.(i) > 0 || prof_time.(i) > 0. then begin
+            Obs.incr obs ~label ~by:firings.(i) "chase.rule.firings";
+            Obs.incr obs ~label ~by:prof_nulls.(i) "chase.rule.nulls";
+            Obs.incr obs ~label ~by:prof_probes.(i) "chase.rule.probes";
+            Obs.observe obs ~label "chase.rule.match_s" prof_match.(i);
+            Obs.observe obs ~label "chase.rule.time_s" prof_time.(i)
+          end)
+        rules;
+      Obs.instant obs "chase.done"
+        ~args:[ ("status", Chase_obs.Jsonv.String outcome) ];
+      Obs.span_end obs "chase"
+    end
+  in
+  let status =
+    match loop () with
+    | status -> status
+    | exception e ->
+      finish "stopped";
+      raise e
+  in
+  finish (match status with Terminated -> "terminated" | Exhausted _ -> "exhausted");
   {
     instance;
     status;

@@ -256,4 +256,13 @@ module Monitor = struct
               match l.max_depth with
               | Some n when depth > n -> Some (Depth_budget n)
               | _ -> None))))
+
+  let interrupted m =
+    let l = m.limits in
+    match l.cancel with
+    | Some c when Cancel.is_cancelled c -> Some (Cancelled (Cancel.reason c))
+    | _ -> (
+      match l.timeout with
+      | Some d when elapsed m >= d -> Some (Deadline d)
+      | _ -> None)
 end

@@ -140,4 +140,9 @@ module Monitor : sig
       and the cancellation token are checked on every call; the clock and
       the [on_gauge] probe cadence-gate on [check_every] unless [force]
       is set. *)
+
+  val interrupted : t -> breach option
+  (** The cancellation token, then the deadline on a fresh clock read;
+      no counter budget and no [on_gauge] probe.  The poll of a phase
+      that applies no triggers, such as the linear lasso search. *)
 end

@@ -17,8 +17,9 @@
 
     [check] runs the chase of the critical instance
     ({!Simulation.chase}, under the caller's budget, limits, watchdog and
-    obs); on exhaustion it searches the
-    derivation forest for a recurring-type pump.  To guard against clouds
+    obs), which stops at the first certified lasso (DESIGN.md §3.13); on
+    exhaustion it searches the derivation forest for a recurring-type
+    pump.  To guard against clouds
     that were still growing when the snapshot was taken, a pump is only
     reported when the type recurs at least [min_occurrences] times along
     one guard chain and every link of the chain carries nulls younger than
@@ -258,11 +259,8 @@ let check ?standard ?(budget = default_budget) ?limits ?watchdog
         "every rule is full (no existential variables): the chase can only \
          create finitely many facts over the database terms"
   else begin
-    let result =
-      Simulation.chase ?standard ~budget ?limits ?watchdog ~obs ~variant rules
-    in
-    match result.Engine.status with
-    | Engine.Terminated ->
+    match Simulation.chase ?standard ~budget ?limits ?watchdog ~obs ~variant rules with
+    | Simulation.Closed result ->
       Verdict.terminates ~procedure:"guarded-types"
         ~evidence:
           (Fmt.str
@@ -270,10 +268,13 @@ let check ?standard ?(budget = default_budget) ?limits ?watchdog
               facts"
              Variant.pp variant result.Engine.triggers_applied
              (Instance.cardinal result.Engine.instance))
-    | Engine.Exhausted reason -> (
+    | Simulation.Lasso l ->
+      Verdict.diverges ~witness:(Verdict.Lasso l) ~procedure:"guarded-types"
+        ~evidence:(Simulation.lasso_evidence ~variant rules l) ()
+    | Simulation.Exhausted e -> (
       match
-        Chase_obs.Obs.with_span obs "pump-search" (fun () ->
-            find_pump ~obs result)
+        Option.bind e.partial (fun result ->
+            Chase_obs.Obs.with_span obs "pump-search" (fun () -> find_pump ~obs result))
       with
       | Some pump ->
         let shown = List.filteri (fun i _ -> i < 4) pump.occurrences in
@@ -300,6 +301,6 @@ let check ?standard ?(budget = default_budget) ?limits ?watchdog
         Verdict.unknown ~procedure:"guarded-types"
           ~evidence:
             (Fmt.str "%a and no pump found — %s" Limits.pp_breach
-               reason.Limits.Exhaustion.breach
-               (Limits.Exhaustion.diagnosis reason)))
+               e.reason.Limits.Exhaustion.breach
+               (Limits.Exhaustion.diagnosis e.reason)))
   end

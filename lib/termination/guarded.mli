@@ -4,7 +4,9 @@
 
     - a closed chase of the critical instance ({!Simulation.chase})
       proves termination on every database (critical-instance theorem);
-    - a recurring cloud type along one guard chain with fresh nulls at
+    - a lasso of that chase that {!Chase_engine.Lasso.check} accepts
+      proves divergence;
+    - otherwise, a recurring cloud type along one guard chain with fresh nulls at
       every link proves the branch self-similar, i.e. divergence;
     - a run that breached its limits without a pump answers [Unknown]. *)
 
@@ -35,6 +37,6 @@ val check :
   Verdict.t
 (** [budget] (default [default_budget], 20,000), [limits], [watchdog]
     and [obs] govern the critical-instance chase exactly as in
-    {!Simulation.chase}; [obs] also flows into the pump search.  A divergence verdict carries its pump
-    ({!Verdict.Guard_chain}).
+    {!Simulation.chase}; [obs] also flows into the pump search.  A divergence verdict carries its lasso
+    ({!Verdict.Lasso}) or its pump ({!Verdict.Guard_chain}).
     @raise Invalid_argument if the set is not guarded. *)

@@ -4,10 +4,9 @@
     pattern-transition system of the critical instance looks for a
     concretely confirmed pump; without one, the chase of the critical
     instance ({!Simulation.chase}, under the caller's limits) settles the
-    question: closed is termination on every database, a breached limit
-    is [Unknown]. *)
+    question: closed is termination on every database, a certified lasso
+    is divergence, a breached limit is [Unknown]. *)
 
-open Chase_logic
 open Chase_engine
 open Chase_acyclicity
 
@@ -23,32 +22,35 @@ let check ?(standard = true) ?budget ?limits ?watchdog ?obs ~variant rules =
       invalid_arg
         "Linear.check: Theorem 2 covers the (semi-)oblivious chase only"
   in
-  match Critical_linear.find_pump ~semi ~standard rules with
-  | Some cert ->
+  match Critical_linear.find_pump ~semi ~standard ?limits rules with
+  | Error breach ->
+    Verdict.unknown ~procedure
+      ~evidence:
+        (Fmt.str "the lasso search of the pattern-transition system stopped: %a"
+           Limits.pp_breach breach)
+  | Ok (Some cert) ->
     Verdict.diverges ~witness:(Verdict.Linear_pump cert) ~procedure
       ~evidence:
         (Fmt.str "confirmed pump (%d laps replayed): %a" cert.laps_checked
            (Critical_linear.pp_certificate rules)
            cert)
       ()
-  | None -> (
-    let result =
-      Simulation.chase ~standard ?budget ?limits ?watchdog ?obs ~variant rules
-    in
-    match result.Engine.status with
-    | Engine.Terminated ->
+  | Ok None -> (
+    match Simulation.chase ~standard ?budget ?limits ?watchdog ?obs ~variant rules with
+    | Simulation.Closed _ ->
       Verdict.terminates ~procedure
         ~evidence:
           (no_lasso
          ^ " in the pattern-transition system, and the chase of the critical \
             instance closes")
-    | Engine.Exhausted reason ->
+    | Simulation.Lasso l ->
+      Verdict.diverges ~witness:(Verdict.Lasso l) ~procedure
+        ~evidence:(Simulation.lasso_evidence ~variant rules l) ()
+    | Simulation.Exhausted e ->
       Verdict.unknown ~procedure
         ~evidence:
           (Fmt.str
              "no confirmed pump found, but the critical-instance chase did not \
               close within the %a (%d facts, max depth %d — %s)"
-             Limits.pp_breach reason.Limits.Exhaustion.breach
-             (Instance.cardinal result.Engine.instance)
-             result.Engine.max_depth
-             (Limits.Exhaustion.diagnosis reason)))
+             Limits.pp_breach e.reason.Limits.Exhaustion.breach e.facts e.max_depth
+             (Limits.Exhaustion.diagnosis e.reason)))

@@ -3,7 +3,9 @@
     no pump, the chase of the critical instance ({!Simulation.chase}).
     A confirmed pump answers [Diverges] and carries it
     ({!Verdict.Linear_pump}); a closed chase answers [Terminates]; a
-    chase that breaches its limits answers [Unknown], naming the breach. *)
+    lasso of the chase answers [Diverges] with {!Verdict.Lasso}; a
+    search or chase that breaches its limits answers [Unknown], naming
+    the breach. *)
 
 val check :
   ?standard:bool ->
@@ -16,6 +18,7 @@ val check :
   Verdict.t
 (** [budget] (default {!Simulation.default_budget}), [limits], [watchdog]
     and [obs] govern the closing chase exactly as in {!Simulation.chase};
-    the lasso search runs unbounded before it.
+    the lasso search before it polls [limits]' cancellation token and
+    deadline only.
     @raise Invalid_argument if the set is not linear, or for the
     restricted variant. *)

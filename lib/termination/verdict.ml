@@ -23,6 +23,7 @@ type witness =
       occurrences : Chase_logic.Atom.t list;
       chain_length : int;
     }
+  | Lasso of Chase_engine.Lasso.t
 
 type t = {
   answer : answer;

@@ -30,14 +30,18 @@ type witness =
     }
       (** {!Guarded.check}: a recurring cloud type along a guard chain of
           the critical instance's chase (Theorem 4). *)
+  | Lasso of Chase_engine.Lasso.t
+      (** {!Simulation.chase}: a lasso of the critical instance's chase
+          that {!Chase_engine.Lasso.check} accepts (DESIGN.md §3.13);
+          carried by the [Diverges] verdicts of {!Simulation.check},
+          {!Guarded.check} and {!Linear.check} that it proves. *)
 
 type t = {
   answer : answer;
   procedure : string;  (** e.g. "rich-acyclicity", "critical-linear" *)
   evidence : string;
   witness : witness option;
-      (** [Some] only on the [Diverges] verdicts of {!Sl.check},
-          {!Linear.check} and {!Guarded.check}; every other verdict
+      (** [Some] only on [Diverges] verdicts; every other verdict
           carries none.  The witness never shows in {!pp}. *)
 }
 

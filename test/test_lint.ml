@@ -180,10 +180,13 @@ let test_w021_linear_pump () =
     Alcotest.(check bool) "diverges" true (Verdict.is_diverging v)
   | _ -> Alcotest.fail "expected one verdict"
 
+(* A two-rule lap: no one-rule lasso closes it, so the guarded
+   procedure's chase runs to its budget and the recurring-type search
+   names the chain. *)
 let test_w021_guarded_chain () =
   let report =
     lint ~explain:[ Variant.Semi_oblivious ]
-      "g: h(X,Y), e(Y) -> h(Y,Z), e(Z).\n"
+      "a: h(X,Y), e(Y) -> k(Y,Z), f(Z).\nb: k(X,Y), f(Y) -> h(Y,Z), e(Z).\n"
   in
   let d = the_diag Diagnostic.W021 report in
   (match d.Diagnostic.witness with
@@ -202,6 +205,23 @@ let test_w021_guarded_chain () =
     Alcotest.(check bool) "diverges by guarded-types" true
       (Verdict.is_diverging v)
   | _ -> Alcotest.fail "expected one verdict"
+
+(* A one-rule lap stops the chase at a certified lasso: W021 carries it,
+   and its JSON witness is of kind "lasso". *)
+let test_w021_lasso () =
+  let report =
+    lint ~explain:[ Variant.Semi_oblivious ] "w1: p(X, Y), q(Y, Z) -> p(Y, W), q(W, X).\n"
+  in
+  let d = the_diag Diagnostic.W021 report in
+  (match d.Diagnostic.witness with
+  | Diagnostic.Lasso { rules; step; _ } ->
+    Alcotest.(check (list int)) "the lasso's rule" [ 0 ] rules;
+    Alcotest.(check int) "found at step 37" 37 step
+  | _ -> Alcotest.fail "expected a Lasso witness");
+  Alcotest.(check (option string)) "JSON kind" (Some "lasso")
+    (Option.bind
+       (Jsonv.member "witness" (Diagnostic.to_json d))
+       (fun w -> Option.bind (Jsonv.member "kind" w) Jsonv.to_string_opt))
 
 (* ------------------------------------------------------------------ *)
 (* I030 unreachable-predicate and I033 dead-rule                        *)
@@ -530,4 +550,5 @@ let suite =
     fuzz_random_rules;
     Alcotest.test_case "explain diagnostics name their variant" `Quick
       test_explain_names_variant;
+    Alcotest.test_case "W021 lasso" `Quick test_w021_lasso;
   ]

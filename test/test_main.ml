@@ -23,6 +23,7 @@ let () =
       ("extended-acyclicity", Test_extended_acyclicity.suite);
       ("flow", Test_flow.suite);
       ("theorems", Test_theorems.suite);
+      ("lasso", Test_lasso.suite);
       ("lint", Test_lint.suite);
       ("reductions", Test_reductions.suite);
       ("model-theory", Test_model_theory.suite);
